@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HorizonOverflow
 from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
-from .measures import CylinderFunction, MeasureSpec, integrate
+from .measures import CylinderFunction, MeasureSpec, _index, integrate
 
 
 def _conj(values: np.ndarray) -> np.ndarray:
@@ -52,7 +52,7 @@ class AlgebraElement:
         kept = {}
         for w, f in terms.items():
             g = f.lift(d)
-            if not np.all(g.values == 0):
+            if g.values.any():
                 kept[w] = g
         self.depth = d
         self.terms = kept
@@ -145,7 +145,7 @@ def convolve(F: AlgebraElement, G: AlgebraElement, cap: int = DEPTH_CAP) -> Alge
     if d > cap:
         raise HorizonOverflow(f"convolution at depth {d} exceeds cap {cap}")
     F, G = F.lift(d), G.lift(d)
-    idx = np.arange(1 << d)
+    idx = _index(d)
     acc: dict[FlipWord, np.ndarray] = {}
     for wf in sorted(F.terms):
         tf = F.terms[wf].values
@@ -179,7 +179,7 @@ def involution(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """The adjoint F+(x, w) = delta((x, w))**-1 conj(F(x ^ w, w))."""
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = np.arange(1 << d)
+    idx = _index(d)
     out = {}
     for w, f in F.terms.items():
         dinv = spec.delta_inv_table(w, d)
@@ -195,7 +195,7 @@ def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = np.arange(1 << d)
+    idx = _index(d)
     out = {}
     for w, f in F.terms.items():
         droot = spec.delta_inv_table(w, d) ** 0.5
@@ -253,7 +253,7 @@ def hahn_norm(F: AlgebraElement, spec: MeasureSpec) -> float:
     """
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = np.arange(1 << d)
+    idx = _index(d)
     size = 1 << d
     branch_t = np.zeros(size)
     branch_s = np.zeros(size)

@@ -389,9 +389,9 @@ def cmd_dfs_check(cfg: RunConfig, table_path: str | None):
         with open(table_path) as fh:
             doc = json.load(fh)
         # accept a bare table, a report with a table, or a full payload
-        if "table" not in doc and "report" in doc:
+        if isinstance(doc, dict) and "table" not in doc and "report" in doc:
             doc = doc["report"]
-        if "table" in doc:
+        if isinstance(doc, dict) and "table" in doc:
             doc = doc["table"]
         S = dfs_from_json(doc)
         source = table_path

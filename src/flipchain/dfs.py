@@ -20,11 +20,13 @@ reports carry an exact_zero flag alongside the float violation.
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
-from .errors import DepthTooSmall, InvariantViolation, OrderUnsupported
+from .errors import DepthTooSmall, InvalidSpec, InvariantViolation, OrderUnsupported
 from .groupoid import EMPTY_WORD, FlipWord, check_depth
 from .measures import CylinderFunction
 
@@ -33,12 +35,18 @@ def _is_exact_dtype(dtype) -> bool:
     return dtype == object or np.issubdtype(dtype, np.integer)
 
 
+def _worse(worst: float, dev: float) -> float:
+    """The larger deviation, where NaN beats everything (max() would drop it)."""
+    return worst if math.isnan(worst) or dev <= worst else dev
+
+
 def _max_abs(arr) -> float:
+    """Largest absolute entry; NaN if any entry is NaN."""
     if arr.size == 0:
         return 0.0
-    return float(max(abs(v) for v in arr.flat)) if arr.dtype == object else float(
-        np.max(np.abs(arr))
-    )
+    if arr.dtype == object:
+        return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
+    return float(np.max(np.abs(arr)))
 
 
 class DfsTable:
@@ -129,13 +137,13 @@ def dfs_check(S: DfsTable, tol: float = 1e-12) -> dict:
     worst = 0.0
     checks = 0
 
-    worst = max(worst, _max_abs(S.entry(EMPTY_WORD).values))
+    worst = _worse(worst, _max_abs(S.entry(EMPTY_WORD).values))
     checks += 1 << d
 
     for mask in range(1 << S.n):
         w = FlipWord(mask)
         T = S.entry(w).values
-        worst = max(worst, _max_abs(T[idx ^ mask] + T))
+        worst = _worse(worst, _max_abs(T[idx ^ mask] + T))
         checks += 1 << d
 
     for mu in range(1 << S.n):
@@ -145,8 +153,8 @@ def dfs_check(S: DfsTable, tol: float = 1e-12) -> dict:
             lhs = S.entry(FlipWord(mu ^ mv)).values
             chain_a = Tu[idx ^ mv] + Tv
             chain_b = Tu + Tv[idx ^ mu]
-            worst = max(worst, _max_abs(lhs - chain_a))
-            worst = max(worst, _max_abs(lhs - chain_b))
+            worst = _worse(worst, _max_abs(lhs - chain_a))
+            worst = _worse(worst, _max_abs(lhs - chain_b))
             checks += 2 << d
 
     return {
@@ -341,7 +349,7 @@ def is_exact(S: DfsTable, tol: float = 1e-12) -> Cochain | None:
     exact_mode = S.exact
     for m in range(1 << S.n):
         dev = S.entry(FlipWord(m)).values - (H[idx ^ m] - H)
-        bad = _max_abs(dev) != 0 if exact_mode else _max_abs(dev) > tol
+        bad = _max_abs(dev) != 0 if exact_mode else not _max_abs(dev) <= tol
         if bad:
             return None
     return Cochain(0, S.n, d, H)
@@ -363,18 +371,34 @@ def dfs_to_json(S: DfsTable) -> dict:
 
 
 def dfs_from_json(doc: dict) -> DfsTable:
-    from fractions import Fraction
-
+    """Read a dfs_to_json document; InvalidSpec if it is malformed."""
+    if not (isinstance(doc, dict) and {"n", "entries"} <= doc.keys()
+            and isinstance(doc["entries"], list)):
+        raise InvalidSpec("a DFS table document needs 'n' and a list of 'entries'")
     entries = {}
     depth = 0
-    for rec in doc["entries"]:
-        w = FlipWord.from_sites(rec["flips"])
-        d = int(rec["depth"])
-        raw = rec["values"]
-        if raw and isinstance(raw[0], str):
-            vals = np.array([Fraction(v) for v in raw], dtype=object)
-        else:
-            vals = np.array([float(v) for v in raw])
-        entries[w] = CylinderFunction(d, vals)
-        depth = max(depth, d)
-    return DfsTable(int(doc["n"]), entries, depth)
+    for i, rec in enumerate(doc["entries"]):
+        if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
+            raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
+        try:
+            w, f = _entry_from_json(rec)
+        except (TypeError, ValueError) as err:
+            raise InvalidSpec(f"table entry {i}: {err}") from err
+        entries[w] = f
+        depth = max(depth, f.depth)
+    n = doc["n"]
+    if not isinstance(n, int) or n < 0:
+        raise InvalidSpec(f"table horizon must be a nonnegative integer, got {n!r}")
+    return DfsTable(n, entries, depth)
+
+
+def _entry_from_json(rec: dict):
+    from fractions import Fraction
+
+    raw = rec["values"]
+    if raw and isinstance(raw[0], str):
+        vals = np.array([Fraction(v) for v in raw], dtype=object)
+    else:
+        vals = np.array([float(v) for v in raw])
+    # CylinderFunction rejects a value count other than 2**depth
+    return FlipWord.from_sites(rec["flips"]), CylinderFunction(int(rec["depth"]), vals)

@@ -76,6 +76,10 @@ class FlipWord:
     def __bool__(self) -> bool:
         return self.mask != 0
 
+    def __hash__(self) -> int:
+        # equal words have equal masks; cheaper than the generated hash((mask,))
+        return self.mask
+
     def __iter__(self):
         return iter(self.sites)
 

@@ -16,6 +16,14 @@ Cylinder weights at different depths are projectively consistent, so every
 function depending on finitely many sites has a well-defined integral.  Both
 families transform under finite flips by a positive multiplier, the modular
 function: ``weight(p ^ w) = weight(p) / delta((p, w))``.
+
+Tables are built once per process for each (measure kind, exactness,
+parameter, depth) and returned read-only: the weight tables, the Ising bond
+coefficients, the prefix index and the per-site Bernoulli ratio rows that the
+delta tables are multiplied from.  Delta tables themselves depend on the word
+as well, so they are assembled from the cached pieces on every call (also
+read-only).  Exactness is part of the key because ``Bernoulli(0.5) ==
+Bernoulli(Fraction(1, 2))``, yet only the second one computes in rationals.
 """
 
 from __future__ import annotations
@@ -31,8 +39,25 @@ from .errors import DepthTooSmall, InvalidSpec
 from .groupoid import FlipWord, GroupoidElement, Prefix, check_depth
 
 
+_TABLES: dict = {}
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _cached(key: tuple, build) -> np.ndarray:
+    """The table stored under key, built (and made read-only) on first use."""
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _read_only(build())
+    return table
+
+
 def _index(depth: int) -> np.ndarray:
-    return np.arange(1 << depth)
+    """The prefix masks 0 .. 2**depth - 1."""
+    return _cached(("index", depth), lambda: np.arange(1 << depth))
 
 
 def _site_bit(idx: np.ndarray, site: int) -> np.ndarray:
@@ -159,12 +184,19 @@ class Bernoulli:
     def exact(self) -> bool:
         return isinstance(self.lam, Fraction)
 
+    def _key(self, *rest) -> tuple:
+        # the parameter's type carries the exactness: 0.5 == Fraction(1, 2)
+        return (self.kind, type(self.lam), self.lam) + rest
+
     def _pair(self):
         one = Fraction(1) if self.exact else 1.0
         return self.lam, one - self.lam
 
     def weight_table(self, depth: int) -> np.ndarray:
         check_depth(depth)
+        return _cached(self._key("weight", depth), lambda: self._weights(depth))
+
+    def _weights(self, depth: int) -> np.ndarray:
         w0, w1 = self._pair()
         dtype = object if self.exact else np.float64
         if depth == 0:
@@ -195,13 +227,23 @@ class Bernoulli:
                 f"delta for horizon {word.horizon} needs depth >= {word.horizon}"
             )
         check_depth(depth)
+        acc = _cached(self._key("one", depth), lambda: self._ones(depth))
+        for k in word.sites:
+            acc = acc * _cached(
+                self._key("ratio", depth, k, sign),
+                lambda: self._ratio_row(depth, k, sign),
+            )
+        return _read_only(acc)
+
+    def _ones(self, depth: int) -> np.ndarray:
+        r = self._ratio()
+        return np.full(1 << depth, r / r, dtype=object if self.exact else np.float64)
+
+    def _ratio_row(self, depth: int, site: int, sign: int) -> np.ndarray:
+        """The factor of one site in the delta (sign +1) or inverse (-1) table."""
         r = self._ratio()
         hi, lo = (r, 1 / r) if sign > 0 else (1 / r, r)
-        idx = _index(depth)
-        acc = np.full(idx.shape, r / r, dtype=object if self.exact else np.float64)
-        for k in word.sites:
-            acc = acc * np.where(_site_bit(idx, k) == 1, hi, lo)
-        return acc
+        return np.where(_site_bit(_index(depth), site) == 1, hi, lo)
 
     def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """Modular function ((x, word)) for every depth-`depth` prefix x."""
@@ -231,6 +273,10 @@ def ising_bond_coefficients(depth: int) -> np.ndarray:
     The depth-D chain energy with free ends is H_D = -J * C.
     """
     check_depth(depth)
+    return _cached(("bonds", depth), lambda: _bond_sums(depth))
+
+
+def _bond_sums(depth: int) -> np.ndarray:
     idx = _index(depth)
     c = np.zeros(idx.shape, dtype=np.int64)
     for k in range(1, depth):
@@ -286,13 +332,23 @@ class IsingBoltzmann:
         if not math.isfinite(self.J):
             raise InvalidSpec(f"J must be finite, got {self.J}")
 
+    def _key(self, *rest) -> tuple:
+        return (self.kind, type(self.J), self.J) + rest
+
     def weight_table(self, depth: int) -> np.ndarray:
         check_depth(depth)
+        key = self._key("weight", depth)
         if depth == 0:
-            return np.array([1.0])
-        h = -self.J * ising_bond_coefficients(depth)
-        w = np.exp(h)
-        return w / math.fsum(w)
+            return _cached(key, lambda: np.array([1.0]))
+        # read on every call, not only in the build, so that the calls into
+        # the bond coefficients do not depend on what is already cached
+        c = ising_bond_coefficients(depth)
+
+        def build():
+            w = np.exp(-self.J * c)
+            return w / math.fsum(w)
+
+        return _cached(key, build)
 
     def cylinder_weight(self, p: Prefix):
         if p.depth < 1:
@@ -314,10 +370,10 @@ class IsingBoltzmann:
         return self.J * (c[_index(depth) ^ word.mask] - c)
 
     def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return np.exp(self._delta_exponent(word, depth))
+        return _read_only(np.exp(self._delta_exponent(word, depth)))
 
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return np.exp(-self._delta_exponent(word, depth))
+        return _read_only(np.exp(-self._delta_exponent(word, depth)))
 
     def delta(self, g: GroupoidElement) -> float:
         return math.exp(-self.J * ising_energy_coefficient(g))

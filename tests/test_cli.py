@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -158,6 +159,46 @@ def test_dfs_check_rejects_corrupt_table(tmp_path, capsys):
     assert code == 1
     assert doc["passed"] is False
     assert doc["report"]["check"]["max_violation"] >= 0.5
+
+
+def test_dfs_check_fails_on_nan_entry(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    main(["dfs-build", "--n", "2", "--depth", "4", "--seed", "3", "--out", str(out)])
+    table = json.loads(out.read_text())["report"]["table"]
+    table["entries"][1]["values"][0] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(table))
+    code, doc = run_json(capsys, "dfs-check", str(bad))
+    assert code == 1
+    assert doc["passed"] is False
+    assert doc["report"]["check"]["passed"] is False
+    assert math.isnan(doc["report"]["check"]["max_violation"])
+
+
+MALFORMED_TABLES = {
+    "no entries": {"n": 2},
+    "no n": {"entries": []},
+    "not an object": [1, 2],
+    "record without values": {"n": 1, "entries": [{"flips": [], "depth": 1}]},
+    "record without depth": {"n": 1, "entries": [{"flips": [], "values": [0, 0]}]},
+    "record without flips": {"n": 1, "entries": [{"depth": 1, "values": [0, 0]}]},
+    "short values": {"n": 1, "entries": [{"flips": [], "depth": 2, "values": [0, 0, 0]}]},
+    "bad value": {"n": 1, "entries": [{"flips": [], "depth": 1, "values": ["x", "0"]}]},
+    "bad site": {"n": 1, "entries": [{"flips": [0], "depth": 1, "values": [0, 0]}]},
+    "negative depth": {"n": 1, "entries": [{"flips": [], "depth": -1, "values": []}]},
+    "negative horizon": {"n": -1, "entries": []},
+    "a number": 5,
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
+def test_dfs_check_malformed_table_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert main(["dfs-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
 
 
 def test_dfs_check_builds_fresh_without_file(capsys):

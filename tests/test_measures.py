@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from flipchain import (
+    EMPTY_WORD,
     Bernoulli,
     CylinderFunction,
     DepthTooSmall,
@@ -16,6 +19,7 @@ from flipchain import (
     e,
     integrate,
     ising_bond_coefficients,
+    ising_energy_brute,
     ising_energy_coefficient,
     measure_from_json,
     modular_delta,
@@ -26,6 +30,7 @@ from flipchain import (
     pushforward_projection_check,
     translation_covariance_check,
 )
+from flipchain import cli, measures
 
 LAM = Fraction(3, 10)
 
@@ -261,3 +266,120 @@ def test_modular_delta_dispatch():
     g = GroupoidElement(Prefix(2, 0b01), e(1))
     assert modular_delta(Bernoulli(LAM), g) == Fraction(7, 3)
     assert modular_delta(IsingBoltzmann(1.0), g) > 0
+
+
+@pytest.fixture
+def cold_tables():
+    """Start from an empty table cache, as a fresh process does."""
+    measures._TABLES.clear()
+    yield
+    measures._TABLES.clear()
+
+
+@pytest.mark.parametrize(
+    "spec", [Bernoulli(0.3), Bernoulli(LAM), IsingBoltzmann(0.7)], ids=repr
+)
+def test_tables_are_read_only(spec):
+    w = FlipWord.from_sites([1, 3])
+    tables = [
+        spec.weight_table(0),
+        spec.weight_table(4),
+        spec.delta_table(EMPTY_WORD, 4),
+        spec.delta_table(w, 4),
+        spec.delta_inv_table(w, 4),
+        ising_bond_coefficients(4),
+    ]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = table[0]
+
+
+def test_tables_are_shared_between_equal_measures():
+    assert Bernoulli(0.3).weight_table(4) is Bernoulli(0.3).weight_table(4)
+    assert IsingBoltzmann(0.7).weight_table(4) is IsingBoltzmann(0.7).weight_table(4)
+    assert ising_bond_coefficients(4) is ising_bond_coefficients(4)
+
+
+@pytest.mark.parametrize("first_exact", [False, True])
+def test_cache_keeps_exact_and_float_apart(cold_tables, first_exact):
+    # equal and equally hashed measures, but only the Fraction one is exact
+    assert Bernoulli(0.5) == Bernoulli(Fraction(1, 2))
+    specs = [Bernoulli(0.5), Bernoulli(Fraction(1, 2))]
+    if first_exact:
+        specs.reverse()
+    w = FlipWord.from_sites([2])
+    for spec in specs:
+        tables = [
+            spec.weight_table(4),
+            spec.delta_table(EMPTY_WORD, 4),
+            spec.delta_table(w, 4),
+            spec.delta_inv_table(w, 4),
+        ]
+        for table in tables:
+            if spec.exact:
+                assert table.dtype == object
+                assert all(isinstance(v, Fraction) for v in table.tolist())
+            else:
+                assert table.dtype == np.float64
+
+
+@pytest.mark.parametrize("lam", [LAM, 0.3], ids=["exact", "float"])
+def test_bernoulli_tables_match_pointwise_oracles(lam):
+    spec = Bernoulli(lam)
+    depth = 4
+    weights = spec.weight_table(depth)
+    for bits in range(1 << depth):
+        want = spec.cylinder_weight(Prefix(depth, bits))
+        if spec.exact:
+            assert weights[bits] == want
+        else:
+            assert weights[bits] == pytest.approx(want, rel=1e-14)
+    for mask in range(1 << 3):
+        w = FlipWord(mask)
+        delta = spec.delta_table(w, depth)
+        inv = spec.delta_inv_table(w, depth)
+        for bits in range(1 << depth):
+            want = spec.delta(GroupoidElement(Prefix(depth, bits), w))
+            if spec.exact:
+                assert delta[bits] == want
+                assert inv[bits] * want == 1
+            else:
+                assert delta[bits] == pytest.approx(want, rel=1e-14)
+                assert inv[bits] * want == pytest.approx(1.0, rel=1e-14)
+
+
+def test_ising_tables_match_pointwise_oracles():
+    J = 0.7
+    spec = IsingBoltzmann(J)
+    depth = 5
+    Z = partition_function(J, depth)
+    weights = spec.weight_table(depth)
+    bonds = ising_bond_coefficients(depth)
+    for bits in range(1 << depth):
+        p = Prefix(depth, bits)
+        spins = [1 - 2 * p.bit(k) for k in range(1, depth + 1)]
+        bond_sum = sum(a * b for a, b in zip(spins, spins[1:]))
+        assert bonds[bits] == bond_sum
+        assert weights[bits] == pytest.approx(math.exp(-J * bond_sum) / Z, rel=1e-13)
+    for mask in range(1 << 3):
+        w = FlipWord(mask)
+        delta = spec.delta_table(w, depth)
+        inv = spec.delta_inv_table(w, depth)
+        for bits in range(1 << depth):
+            g = GroupoidElement(Prefix(depth, bits), w)
+            assert delta[bits] == pytest.approx(spec.delta(g), rel=1e-14)
+            assert delta[bits] == pytest.approx(
+                math.exp(-ising_energy_brute(J, g)), rel=1e-14
+            )
+            assert inv[bits] * delta[bits] == pytest.approx(1.0, rel=1e-14)
+
+
+def test_algebra_report_same_from_cold_and_warm_cache(cold_tables):
+    outputs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["algebra", "--trials", "50"])
+        assert code == 0
+        outputs.append(buf.getvalue())
+    assert outputs[0] == outputs[1]
