@@ -32,10 +32,10 @@ print("identities:", rep["checks"], "checks, worst", rep["max_violation"],
       "exact zero:", rep["exact_zero"])
 
 w = FlipWord.from_sites([1, 3])
-print("table at word {1,3}:", S.entry(w).values[:8], "...")
+print("table at word {1,3}:", S.entries[w].values[:8], "...")
 
 # inversion antisymmetry: S(x^w, w) = -S(x, w)
-T = S.entry(w).values
+T = S.entries[w].values
 idx = np.arange(1 << D)
 print("antisymmetry worst:", int(np.max(np.abs(T[idx ^ w.mask] + T))))
 

@@ -14,10 +14,10 @@ from flipchain import (
     GroupoidElement,
     IsingBoltzmann,
     Prefix,
+    TransitionEnergy,
     e,
     integrate,
     inverse,
-    ising_transition_energy,
     translation_covariance_check,
 )
 
@@ -46,9 +46,9 @@ print("covariance deviation:", rep["max_rel_deviation"], "exact:", rep["exact_ze
 # the coupled measure: energy differences instead of ratios
 nu = IsingBoltzmann(1.0)
 flip2 = GroupoidElement(Prefix(5, 0), e(2))
-print("interior flip energy:", ising_transition_energy(1.0, flip2))   # 4J
+print("interior flip energy:", TransitionEnergy(1.0).value(flip2))   # 4J
 flip1 = GroupoidElement(Prefix(5, 0), e(1))
-print("boundary flip energy:", ising_transition_energy(1.0, flip1))   # 2J
+print("boundary flip energy:", TransitionEnergy(1.0).value(flip1))   # 2J
 print("Boltzmann Delta of the interior flip:", nu.delta(flip2))
 
 rep = translation_covariance_check(nu, e(3), 6)

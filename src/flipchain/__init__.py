@@ -8,7 +8,6 @@ on depth-D truncations with exhaustive or seeded randomized verification.
 
 from .algebra import (
     AlgebraElement,
-    apply,
     canonical_weight,
     convolve,
     element_from_json,
@@ -23,7 +22,6 @@ from .algebra import (
     pukanszky_L,
     pukanszky_V,
     unit,
-    zero_element,
 )
 from .dfs import (
     Cochain,
@@ -65,7 +63,6 @@ from .groupoid import (
     enumerate_prefixes,
     identity,
     inverse,
-    xor,
 )
 from .ising import (
     ModularHamiltonian,
@@ -76,8 +73,6 @@ from .ising import (
     ising_dfs_coefficients,
     ising_dfs_table,
     ising_energy_brute,
-    ising_transition_energy,
-    modular_hamiltonian_eval,
     modular_spectrum_points,
     tt_evolve,
 )
@@ -99,12 +94,10 @@ from .measures import (
     CylinderFunction,
     IsingBoltzmann,
     MeasureSpec,
-    cylinder_weight,
     integrate,
     ising_bond_coefficients,
-    ising_energy_coefficient,
+    ising_energy_table,
     measure_from_json,
-    modular_delta,
     parse_lambda,
     partition_function,
     partition_function_brute,
@@ -121,7 +114,5 @@ from .sampling import (
     rng_for,
     trial_seed,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 
 __version__ = "0.1.0"

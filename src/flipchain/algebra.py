@@ -23,16 +23,22 @@ are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import HorizonOverflow
 from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
-from .measures import CylinderFunction, MeasureSpec, _index, integrate
-
-
-def _conj(values: np.ndarray) -> np.ndarray:
-    return np.conjugate(values)
+from .measures import (
+    CylinderFunction,
+    MeasureSpec,
+    _index,
+    _max_abs,
+    _worse,
+    integrate,
+    tables_from_json,
+    tables_to_json,
+)
 
 
 class AlgebraElement:
@@ -119,18 +125,13 @@ def unit(depth: int = 0) -> AlgebraElement:
     return AlgebraElement({EMPTY_WORD: CylinderFunction.constant(1.0, depth)})
 
 
-def zero_element(depth: int = 0) -> AlgebraElement:
-    return AlgebraElement({}, depth)
-
-
 def max_abs_diff(F: AlgebraElement, G: AlgebraElement) -> float:
-    """Largest pointwise deviation |F - G| over all words and prefixes."""
+    """Largest pointwise deviation |F - G| over all words and prefixes; NaN if any is."""
     d = max(F.depth, G.depth)
     F, G = F.lift(d), G.lift(d)
     out = 0.0
     for w in sorted(set(F.terms) | set(G.terms)):
-        dev = np.abs(F.term(w).values - G.term(w).values)
-        out = max(out, float(np.max(dev)) if dev.size else 0.0)
+        out = _worse(out, _max_abs(F.term(w).values - G.term(w).values))
     return out
 
 
@@ -158,16 +159,6 @@ def convolve(F: AlgebraElement, G: AlgebraElement, cap: int = DEPTH_CAP) -> Alge
     )
 
 
-def apply(F: AlgebraElement, psi: AlgebraElement, spec: MeasureSpec | None = None) -> AlgebraElement:
-    """Left action of F on a vector psi; identical to convolve.
-
-    Exposed separately to state the boundedness contract: for every measure,
-    l2_norm(apply(F, psi)) <= hahn_norm(F) * l2_norm(psi).  The spec argument
-    is accepted for interface symmetry and is not needed by the computation.
-    """
-    return convolve(F, psi)
-
-
 def _delta_depth(F: AlgebraElement, spec: MeasureSpec) -> int:
     d = F.depth
     for w in F.terms:
@@ -183,7 +174,7 @@ def involution(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     out = {}
     for w, f in F.terms.items():
         dinv = spec.delta_inv_table(w, d)
-        out[w] = CylinderFunction(d, dinv * _conj(f.values[idx ^ w.mask]))
+        out[w] = CylinderFunction(d, dinv * np.conjugate(f.values[idx ^ w.mask]))
     return AlgebraElement(out, d)
 
 
@@ -201,7 +192,7 @@ def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
         droot = spec.delta_inv_table(w, d) ** 0.5
         if droot.dtype == object:
             droot = droot.astype(np.float64)
-        out[w] = CylinderFunction(d, droot * _conj(f.values[idx ^ w.mask]))
+        out[w] = CylinderFunction(d, droot * np.conjugate(f.values[idx ^ w.mask]))
     return AlgebraElement(out, d)
 
 
@@ -269,7 +260,7 @@ def hahn_norm(F: AlgebraElement, spec: MeasureSpec) -> float:
         branch_s = branch_s + dinv * absv[idx ^ w.mask]
     if not F.terms:
         return 0.0
-    return float(max(branch_t.max(), branch_s.max()))
+    return float(np.maximum(branch_t.max(), branch_s.max()))
 
 
 def pukanszky_V(w: FlipWord, spec: MeasureSpec) -> AlgebraElement:
@@ -306,37 +297,28 @@ def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
     return integrate(spec, F.terms[EMPTY_WORD])
 
 
+def _pairs_to_json(vals: np.ndarray) -> list:
+    if vals.dtype == object:
+        return [[str(v), "0"] for v in vals.tolist()]
+    arr = np.asarray(vals, dtype=np.complex128)
+    return [[float(v.real), float(v.imag)] for v in arr.tolist()]
+
+
+def _pairs_from_json(raw) -> np.ndarray:
+    if raw and isinstance(raw[0][0], str):
+        return np.array([Fraction(re) for re, _ in raw], dtype=object)
+    return np.array([complex(re, im) for re, im in raw])
+
+
 def element_to_json(F: AlgebraElement) -> list:
     """Serialize as a list of {flips, depth, values} records.
 
     Values are [re, im] pairs in prefix order; floats survive the round trip
     bit-exactly.  Exact rational tables store value strings instead.
     """
-    out = []
-    for w in F.support:
-        vals = F.terms[w].values
-        if vals.dtype == object:
-            values = [[str(v), "0"] for v in vals.tolist()]
-        else:
-            arr = np.asarray(vals, dtype=np.complex128)
-            values = [[float(v.real), float(v.imag)] for v in arr.tolist()]
-        out.append({"flips": list(w.sites), "depth": F.depth, "values": values})
-    return out
+    return tables_to_json(F.terms, _pairs_to_json)
 
 
 def element_from_json(doc: list) -> AlgebraElement:
-    from fractions import Fraction
-
-    terms = {}
-    depth = 0
-    for rec in doc:
-        w = FlipWord.from_sites(rec["flips"])
-        d = int(rec["depth"])
-        raw = rec["values"]
-        if raw and isinstance(raw[0][0], str):
-            vals = np.array([Fraction(re) for re, _ in raw], dtype=object)
-        else:
-            vals = np.array([complex(re, im) for re, im in raw])
-        terms[w] = CylinderFunction(d, vals)
-        depth = max(depth, d)
-    return AlgebraElement(terms, depth)
+    """Read an element_to_json document; InvalidSpec if it is malformed."""
+    return AlgebraElement(*tables_from_json(doc, _pairs_from_json))

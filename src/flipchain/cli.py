@@ -16,11 +16,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from .algebra import (
-    apply,
+    AlgebraElement,
     canonical_weight,
     convolve,
     hahn_norm,
@@ -53,6 +54,8 @@ from .measures import (
     Bernoulli,
     CylinderFunction,
     IsingBoltzmann,
+    _exceeds,
+    _worse,
     integrate,
     parse_lambda,
     partition_report,
@@ -75,7 +78,7 @@ class RunConfig:
     trials: int = 1000
     seed: int = 0
     tol: float = 1e-12
-    fmt: str = "json"
+    format: str = "json"
     out: str | None = None
     lam_given: bool = False
 
@@ -88,6 +91,8 @@ class RunConfig:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
         if self.measure_kind not in ("bernoulli", "ising"):
             raise InvalidSpec(f"unknown measure kind {self.measure_kind!r}")
+        if self.format not in ("json", "csv"):
+            raise InvalidSpec(f"unknown report format {self.format!r}")
 
     def spec(self):
         if self.measure_kind == "ising":
@@ -108,17 +113,34 @@ class RunConfig:
         }
 
 
+# The type each config-file value must have: the type its flag takes.
+# (JSON booleans are Python ints, so they are refused by name.)
+CONFIG_TYPES = {"n": int, "depth": int, "trials": int, "seed": int,
+                "tol": float, "format": str, "out": str}
+
+
+def _config_value(key: str, value, kind: type):
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise InvalidSpec(f"config key {key!r} needs a {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def config_from_args(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        known = {"measure", "n", "depth", "trials", "seed", "tol", "format", "out"}
+        if not isinstance(doc, dict):
+            raise InvalidSpec(f"a config file holds a JSON object, got {doc!r}")
+        known = {"measure"} | CONFIG_TYPES.keys()
         stray = sorted(set(doc) - known)
         if stray:
             raise InvalidSpec(f"unknown config keys: {', '.join(stray)}")
-        measure = doc.get("measure")
-        if measure is not None:
+        if "measure" in doc:
+            measure = doc["measure"]
+            if not isinstance(measure, dict):
+                raise InvalidSpec(f"config 'measure' must be an object, got {measure!r}")
             stray = sorted(set(measure) - {"kind", "lambda", "J"})
             if stray:
                 raise InvalidSpec(f"unknown measure keys: {', '.join(stray)}")
@@ -127,16 +149,10 @@ def config_from_args(args) -> RunConfig:
                 cfg.lam = parse_lambda(measure["lambda"])
                 cfg.lam_given = True
             if "J" in measure:
-                cfg.J = float(measure["J"])
-        for key in ("n", "depth", "trials", "seed"):
+                cfg.J = _config_value("J", measure["J"], float)
+        for key, kind in CONFIG_TYPES.items():
             if key in doc:
-                setattr(cfg, key, int(doc[key]))
-        if "tol" in doc:
-            cfg.tol = float(doc["tol"])
-        if "format" in doc:
-            cfg.fmt = str(doc["format"])
-        if "out" in doc:
-            cfg.out = doc["out"]
+                setattr(cfg, key, _config_value(key, doc[key], kind))
     if args.measure is not None:
         cfg.measure_kind = args.measure
     if args.lam is not None:
@@ -144,14 +160,10 @@ def config_from_args(args) -> RunConfig:
         cfg.lam_given = True
     if args.J is not None:
         cfg.J = args.J
-    for key in ("n", "depth", "trials", "seed", "tol"):
+    for key in CONFIG_TYPES:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
-    if args.format is not None:
-        cfg.fmt = args.format
-    if args.out is not None:
-        cfg.out = args.out
     cfg.validate()
     return cfg
 
@@ -177,14 +189,14 @@ def cmd_haar(cfg: RunConfig):
     for mask in range(1 << cfg.n):
         rep = translation_covariance_check(spec, FlipWord(mask), cfg.depth)
         rows.append(rep)
-        if rep["max_rel_deviation"] > worst:
+        if _exceeds(rep["max_rel_deviation"], worst):
             worst = rep["max_rel_deviation"]
             witness = rep["word"]
     proj = [
         pushforward_projection_check(spec, cfg.depth, k)
         for k in range(1, cfg.depth)
     ]
-    proj_worst = max(p["max_abs_deviation"] for p in proj)
+    proj_worst = reduce(_worse, (p["max_abs_deviation"] for p in proj), 0.0)
     report = {
         "measure": spec.to_json(),
         "n": cfg.n,
@@ -195,9 +207,9 @@ def cmd_haar(cfg: RunConfig):
         "max_projection_deviation": proj_worst,
     }
     failure = None
-    if worst > cfg.tol:
+    if not worst <= cfg.tol:
         failure = {"invariant": "measure covariance", "witness": {"word": witness}}
-    elif proj_worst > cfg.tol:
+    elif not proj_worst <= cfg.tol:
         failure = {"invariant": "marginal consistency", "witness": None}
     return report, failure
 
@@ -235,21 +247,21 @@ def cmd_algebra(cfg: RunConfig):
                 involution(F, spec),
                 modular_conjugation(modular_operator_pow(F, 0.5, spec), spec),
             ),
-            "bound_violation": max(
+            "bound_violation": _worse(
                 0.0,
-                l2_norm(apply(F, psi), spec) - hahn_norm(F, spec) * l2_norm(psi, spec),
+                l2_norm(convolve(F, psi), spec) - hahn_norm(F, spec) * l2_norm(psi, spec),
             ),
         }
         w = random_word(rng, cfg.n)
         if not w:
             w = e(1)
         V = pukanszky_V(w, spec)
-        checks["flip_unitary"] = max(
+        checks["flip_unitary"] = _worse(
             max_abs_diff(convolve(V, V), unit()),
             max_abs_diff(involution(V, spec), V),
         )
         for key, val in checks.items():
-            if val > devs[key]:
+            if _exceeds(val, devs[key]):
                 devs[key] = val
                 witness[key] = i
     report = {
@@ -262,7 +274,7 @@ def cmd_algebra(cfg: RunConfig):
     }
     failure = None
     for key, val in devs.items():
-        if val > cfg.tol:
+        if not val <= cfg.tol:
             failure = {
                 "invariant": key,
                 "witness": {"trial": witness.get(key)},
@@ -274,7 +286,7 @@ def cmd_algebra(cfg: RunConfig):
 def cmd_glimm(cfg: RunConfig):
     report = gns_compare_random(cfg.n, cfg.trials, float(cfg.lam), cfg.seed)
     failure = None
-    if report["max_abs_deviation"] > cfg.tol:
+    if not report["max_abs_deviation"] <= cfg.tol:
         failure = {
             "invariant": "state equality between matrix and groupoid sides",
             "witness": {"seed": cfg.seed},
@@ -303,8 +315,6 @@ def _trace_witness(spec) -> dict:
 
 
 def _one_at(word: FlipWord):
-    from .algebra import AlgebraElement
-
     return AlgebraElement(
         {word: CylinderFunction.constant(1.0, word.horizon)}
     )
@@ -326,7 +336,7 @@ def cmd_trace(cfg: RunConfig):
                     complex(canonical_weight(convolve(F, G), spec))
                     - complex(canonical_weight(convolve(G, F), spec))
                 )
-                worst = max(worst, dev)
+                worst = _worse(worst, dev)
             row = {
                 "lambda": float(lam),
                 "mode": "tracial",
@@ -412,12 +422,12 @@ def cmd_dfs_check(cfg: RunConfig, table_path: str | None):
 def cmd_ising_partition(cfg: RunConfig):
     report = partition_report(cfg.J, cfg.n, cfg.tol)
     failure = None
-    if report["rel_dev_brute_recursion"] > cfg.tol:
+    if not report["rel_dev_brute_recursion"] <= cfg.tol:
         failure = {
             "invariant": "brute force vs transfer recursion",
             "witness": {"J": cfg.J, "n": cfg.n},
         }
-    elif report["ratio_identity_max_rel_dev"] > cfg.tol:
+    elif not report["ratio_identity_max_rel_dev"] <= cfg.tol:
         failure = {
             "invariant": "partition ratio identity",
             "witness": {"J": cfg.J, "n": cfg.n},
@@ -432,26 +442,26 @@ def cmd_ising_dynamics(cfg: RunConfig):
     runs = []
     worst = 0.0
     norm_worst = 0.0
-    broken_min = math.inf
+    broken_devs = []
     for i, t in enumerate(DYNAMICS_TIMES):
         rng = rng_for(cfg.seed, i)
         F = random_algebra_element(rng, depth, 3, horizon=cfg.n)
         psi = random_algebra_element(rng, depth, 2, horizon=cfg.n)
         rep = heisenberg_equivalence_check(F, psi, t, cfg.J)
         runs.append(rep)
-        worst = max(worst, rep["max_deviation"])
-        norm_worst = max(
-            norm_worst,
+        worst = _worse(worst, rep["max_deviation"])
+        norm_worst = reduce(_worse, (
             abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
             abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
-        )
+        ), norm_worst)
         # The defect of the broken energy lives on products whose factors
         # both touch site 1; pin such words so the control cannot pass by a
         # lucky draw.
         Fb = F + _one_at(e(1))
         psib = psi + _one_at(e(1))
         perturbed = heisenberg_equivalence_check(Fb, psib, t, cfg.J, energy=broken)
-        broken_min = min(broken_min, perturbed["max_deviation"])
+        broken_devs.append(perturbed["max_deviation"])
+    broken_min = float(np.min(broken_devs))  # NaN if any is, unlike min()
     report = {
         "J": cfg.J,
         "times": list(DYNAMICS_TIMES),
@@ -462,17 +472,17 @@ def cmd_ising_dynamics(cfg: RunConfig):
         "non_cocycle_min_deviation": broken_min,
     }
     failure = None
-    if worst > cfg.tol:
+    if not worst <= cfg.tol:
         failure = {
             "invariant": "phase flow equals conjugated product",
             "witness": {"max_deviation": worst},
         }
-    elif norm_worst > cfg.tol:
+    elif not norm_worst <= cfg.tol:
         failure = {
             "invariant": "norm preservation under the flow",
             "witness": {"max_norm_drift": norm_worst},
         }
-    elif broken_min <= 1e-3:
+    elif not broken_min > 1e-3:
         failure = {
             "invariant": "non-cocycle control must visibly break the equivalence",
             "witness": {"non_cocycle_min_deviation": broken_min},
@@ -599,10 +609,7 @@ def main(argv=None) -> int:
     except (InvariantViolation, NotComposable) as err:
         report = {"error": str(err)}
         failure = {"invariant": str(err), "witness": None}
-    except FlipchainError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (FlipchainError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     payload = {
@@ -613,7 +620,7 @@ def main(argv=None) -> int:
     }
     if failure is not None:
         payload["failure"] = failure
-    text = render_csv(payload) if cfg.fmt == "csv" else render_json(payload)
+    text = render_csv(payload) if cfg.format == "csv" else render_json(payload)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

@@ -20,33 +20,29 @@ reports carry an exact_zero flag alongside the float violation.
 
 from __future__ import annotations
 
-import math
-from functools import reduce
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec, InvariantViolation, OrderUnsupported
 from .groupoid import EMPTY_WORD, FlipWord, check_depth
-from .measures import CylinderFunction
+from .measures import (
+    CylinderFunction,
+    _max_abs,
+    _worse,
+    tables_from_json,
+    tables_to_json,
+)
 
 
 def _is_exact_dtype(dtype) -> bool:
     return dtype == object or np.issubdtype(dtype, np.integer)
 
 
-def _worse(worst: float, dev: float) -> float:
-    """The larger deviation, where NaN beats everything (max() would drop it)."""
-    return worst if math.isnan(worst) or dev <= worst else dev
-
-
-def _max_abs(arr) -> float:
-    """Largest absolute entry; NaN if any entry is NaN."""
-    if arr.size == 0:
-        return 0.0
-    if arr.dtype == object:
-        return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
-    return float(np.max(np.abs(arr)))
+def _common_dtype(dtypes):
+    """The dtype that holds every table: object if any one holds objects."""
+    return object if any(t == object for t in dtypes) else np.result_type(*dtypes)
 
 
 class DfsTable:
@@ -83,9 +79,6 @@ class DfsTable:
         self.n = n
         self.depth = d
         self.entries = full
-
-    def entry(self, w: FlipWord) -> CylinderFunction:
-        return self.entries[w]
 
     def value(self, g) -> float:
         """S at a single transition (point, word)."""
@@ -137,20 +130,20 @@ def dfs_check(S: DfsTable, tol: float = 1e-12) -> dict:
     worst = 0.0
     checks = 0
 
-    worst = _worse(worst, _max_abs(S.entry(EMPTY_WORD).values))
+    worst = _worse(worst, _max_abs(S.entries[EMPTY_WORD].values))
     checks += 1 << d
 
     for mask in range(1 << S.n):
         w = FlipWord(mask)
-        T = S.entry(w).values
+        T = S.entries[w].values
         worst = _worse(worst, _max_abs(T[idx ^ mask] + T))
         checks += 1 << d
 
     for mu in range(1 << S.n):
-        Tu = S.entry(FlipWord(mu)).values
+        Tu = S.entries[FlipWord(mu)].values
         for mv in range(1 << S.n):
-            Tv = S.entry(FlipWord(mv)).values
-            lhs = S.entry(FlipWord(mu ^ mv)).values
+            Tv = S.entries[FlipWord(mv)].values
+            lhs = S.entries[FlipWord(mu ^ mv)].values
             chain_a = Tu[idx ^ mv] + Tv
             chain_b = Tu + Tv[idx ^ mu]
             worst = _worse(worst, _max_abs(lhs - chain_a))
@@ -198,11 +191,7 @@ def dfs_seed_extend(S: DfsTable, seed: CylinderFunction) -> DfsTable:
     old = {w: f.lift(d).values for w, f in S.entries.items()}
     # promote over every old entry, not just the empty word: tables may mix
     # int64 (the zero entry) with float entries, and int output would truncate
-    dtypes = [v.dtype for v in old.values()] + [seedv.dtype]
-    if any(t == object for t in dtypes):
-        out_dtype = object
-    else:
-        out_dtype = np.result_type(*dtypes)
+    out_dtype = _common_dtype([v.dtype for v in old.values()] + [seedv.dtype])
 
     entries = dict(S.entries)
     for mw in range(1 << n):
@@ -310,7 +299,7 @@ def coboundary(H: Cochain) -> Cochain:
 
 def dfs_to_cochain(S: DfsTable) -> Cochain:
     vals = np.stack(
-        [S.entry(FlipWord(m)).values for m in range(1 << S.n)]
+        [S.entries[FlipWord(m)].values for m in range(1 << S.n)]
     )
     return Cochain(1, S.n, S.depth, vals)
 
@@ -338,67 +327,40 @@ def is_exact(S: DfsTable, tol: float = 1e-12) -> Cochain | None:
     d = S.depth
     idx = np.arange(1 << d)
     zbars = np.arange(1 << (d - S.n)) << S.n
-    dtypes = [S.entry(FlipWord(m)).values.dtype for m in range(1 << S.n)]
-    if any(t == object for t in dtypes):
-        gauge_dtype = object
-    else:
-        gauge_dtype = np.result_type(*dtypes)
-    H = np.empty(1 << d, dtype=gauge_dtype)
+    H = np.empty(1 << d, dtype=_common_dtype([f.values.dtype for f in S.entries.values()]))
     for m in range(1 << S.n):
-        H[zbars + m] = S.entry(FlipWord(m)).values[zbars]
+        H[zbars + m] = S.entries[FlipWord(m)].values[zbars]
     exact_mode = S.exact
     for m in range(1 << S.n):
-        dev = S.entry(FlipWord(m)).values - (H[idx ^ m] - H)
+        dev = S.entries[FlipWord(m)].values - (H[idx ^ m] - H)
         bad = _max_abs(dev) != 0 if exact_mode else not _max_abs(dev) <= tol
         if bad:
             return None
     return Cochain(0, S.n, d, H)
 
 
+def _scalars_to_json(vals: np.ndarray) -> list:
+    if vals.dtype == object:
+        return [str(v) for v in vals.tolist()]
+    return [float(v) for v in vals.tolist()]
+
+
+def _scalars_from_json(raw) -> np.ndarray:
+    if raw and isinstance(raw[0], str):
+        return np.array([Fraction(v) for v in raw], dtype=object)
+    return np.array([float(v) for v in raw])
+
+
 def dfs_to_json(S: DfsTable) -> dict:
-    entries = []
-    for m in range(1 << S.n):
-        w = FlipWord(m)
-        vals = S.entry(w).values
-        if vals.dtype == object:
-            values = [str(v) for v in vals.tolist()]
-        else:
-            values = [float(v) for v in vals.tolist()]
-        entries.append(
-            {"flips": list(w.sites), "depth": S.depth, "values": values}
-        )
-    return {"n": S.n, "entries": entries}
+    return {"n": S.n, "entries": tables_to_json(S.entries, _scalars_to_json)}
 
 
 def dfs_from_json(doc: dict) -> DfsTable:
     """Read a dfs_to_json document; InvalidSpec if it is malformed."""
-    if not (isinstance(doc, dict) and {"n", "entries"} <= doc.keys()
-            and isinstance(doc["entries"], list)):
+    if not (isinstance(doc, dict) and {"n", "entries"} <= doc.keys()):
         raise InvalidSpec("a DFS table document needs 'n' and a list of 'entries'")
-    entries = {}
-    depth = 0
-    for i, rec in enumerate(doc["entries"]):
-        if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
-            raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
-        try:
-            w, f = _entry_from_json(rec)
-        except (TypeError, ValueError) as err:
-            raise InvalidSpec(f"table entry {i}: {err}") from err
-        entries[w] = f
-        depth = max(depth, f.depth)
+    entries, depth = tables_from_json(doc["entries"], _scalars_from_json)
     n = doc["n"]
     if not isinstance(n, int) or n < 0:
         raise InvalidSpec(f"table horizon must be a nonnegative integer, got {n!r}")
     return DfsTable(n, entries, depth)
-
-
-def _entry_from_json(rec: dict):
-    from fractions import Fraction
-
-    raw = rec["values"]
-    if raw and isinstance(raw[0], str):
-        vals = np.array([Fraction(v) for v in raw], dtype=object)
-    else:
-        vals = np.array([float(v) for v in raw])
-    # CylinderFunction rejects a value count other than 2**depth
-    return FlipWord.from_sites(rec["flips"]), CylinderFunction(int(rec["depth"]), vals)

@@ -71,6 +71,7 @@ class FlipWord:
         return self.mask.bit_length()
 
     def __xor__(self, other: "FlipWord") -> "FlipWord":
+        """Symmetric difference of two flip words (the group law)."""
         return FlipWord(self.mask ^ other.mask)
 
     def __bool__(self) -> bool:
@@ -93,11 +94,6 @@ EMPTY_WORD = FlipWord(0)
 def e(k: int) -> FlipWord:
     """The single-site word flipping site k."""
     return FlipWord.from_sites([k])
-
-
-def xor(a: FlipWord, b: FlipWord) -> FlipWord:
-    """Symmetric difference of two flip words (the group law)."""
-    return a ^ b
 
 
 @dataclass(frozen=True, order=True)

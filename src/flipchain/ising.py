@@ -24,16 +24,11 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, max_abs_diff
+from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
+from .dfs import DfsTable
 from .errors import DegenerateSpectrum, DepthTooSmall, InvalidSpec
 from .groupoid import DEPTH_CAP, FlipWord, GroupoidElement
-from .measures import (
-    Bernoulli,
-    CylinderFunction,
-    IsingBoltzmann,
-    ising_bond_coefficients,
-    ising_energy_coefficient,
-)
+from .measures import Bernoulli, CylinderFunction, IsingBoltzmann, ising_energy_table
 
 
 class TransitionEnergy:
@@ -54,17 +49,11 @@ class TransitionEnergy:
         return word.horizon + 1 if word else 0
 
     def value(self, g: GroupoidElement) -> float:
-        return self.J * ising_energy_coefficient(g)
+        return self.J * int(ising_energy_table(g.flips, g.point.depth)[g.point.bits])
 
     def coefficient_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """Integer table of S / J against the prefix, exact arithmetic."""
-        if depth < self.min_depth(word):
-            raise DepthTooSmall(
-                f"energy for horizon {word.horizon} needs depth >= "
-                f"{self.min_depth(word)}, got {depth}"
-            )
-        c = ising_bond_coefficients(depth)
-        return c - c[np.arange(1 << depth) ^ word.mask]
+        return ising_energy_table(word, depth)
 
     def table(self, word: FlipWord, depth: int) -> np.ndarray:
         return self.J * self.coefficient_table(word, depth)
@@ -96,11 +85,7 @@ class ModularHamiltonian:
 
     def integer_eval(self, g: GroupoidElement) -> int:
         """The lattice index k with H = step * k; exact."""
-        if g.point.depth < g.flips.horizon:
-            raise DepthTooSmall(
-                f"horizon {g.flips.horizon} transition on depth-{g.point.depth} prefix"
-            )
-        return sum(2 * g.point.bit(j) - 1 for j in g.flips.sites)
+        return int(self.integer_table(g.flips, g.point.depth)[g.point.bits])
 
     def value(self, g: GroupoidElement) -> float:
         return self.step * self.integer_eval(g)
@@ -163,22 +148,22 @@ class NonCocyclePerturbation:
         return self.base.measure()
 
 
-def ising_transition_energy(J: float, g: GroupoidElement) -> float:
-    """Energy change of a single transition; depth must clear horizon + 1."""
-    return TransitionEnergy(J).value(g)
-
-
 def ising_energy_brute(J: float, g: GroupoidElement) -> float:
-    """Independent route: full bond sums of truncated chains, then subtract."""
-    c = ising_bond_coefficients(g.point.depth)
-    src = g.point ^ g.flips
-    return -J * float(c[src.bits] - c[g.point.bits])
+    """Independent route: full bond sums of truncated chains, then subtract.
+
+    Each sum reads the spins site by site from the prefix, sharing no table
+    with ising_energy_table; H = -J * sum, so S = -J * (sum at the source -
+    sum at the target).
+    """
+    def bond_sum(p):
+        spins = [1 - 2 * p.bit(k) for k in range(1, p.depth + 1)]
+        return sum(a * b for a, b in zip(spins, spins[1:]))
+
+    return -J * (bond_sum(g.point ^ g.flips) - bond_sum(g.point))
 
 
 def ising_dfs_coefficients(n: int, D: int):
     """The S / J tables on all words up to horizon n, in exact integers."""
-    from .dfs import DfsTable
-
     if D < n + 1:
         raise DepthTooSmall(f"horizon {n} tables need depth >= {n + 1}, got {D}")
     energy = TransitionEnergy(1.0)
@@ -191,8 +176,6 @@ def ising_dfs_coefficients(n: int, D: int):
 
 def ising_dfs_table(J: float, n: int, D: int):
     """Float tables of S on all words up to horizon n at depth D."""
-    from .dfs import DfsTable
-
     coeffs = ising_dfs_coefficients(n, D)
     return DfsTable(
         n,
@@ -200,10 +183,6 @@ def ising_dfs_table(J: float, n: int, D: int):
          for w, f in coeffs.entries.items()},
         D,
     )
-
-
-def modular_hamiltonian_eval(lam, g: GroupoidElement) -> float:
-    return ModularHamiltonian(lam).value(g)
 
 
 def modular_spectrum_points(lam, horizon: int) -> set:
@@ -270,8 +249,6 @@ def heisenberg_equivalence_check(
     exactly when S chains additively; the report carries the max pointwise
     deviation and the norms of F before and after the flow.
     """
-    from .algebra import hahn_norm, l2_norm
-
     if energy is None:
         energy = TransitionEnergy(J)
     spec = energy.measure()

@@ -31,7 +31,7 @@ from .algebra import (
 )
 from .errors import InvalidSpec, SiteOutOfRange
 from .groupoid import e
-from .measures import Bernoulli, CylinderFunction
+from .measures import Bernoulli, CylinderFunction, _worse
 from .sampling import rng_for
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -226,7 +226,7 @@ def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
             F = F + c * term_a
         lhs = complex(canonical_weight(F, spec))
         rhs = powers_state(M, lam)
-        worst = max(worst, abs(lhs - rhs))
+        worst = _worse(worst, abs(lhs - rhs))
     return {
         "n": n,
         "lambda": lam,

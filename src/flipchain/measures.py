@@ -10,7 +10,9 @@ Two measure families are implemented:
   weight ``exp(H_D(p)) / Z_D`` with ``H_D(p) = -J * sum_k s_k s_{k+1}``
   (``s_k = +1`` for bit 0, ``-1`` for bit 1) and free ends.  The exponent is
   written without a separate inverse temperature; the sign and magnitude of J
-  carry it.
+  carry it.  The energy difference of a flip, S = H(p ^ w) - H(p), has one
+  table, ``ising_energy_table`` (in units of J): the delta tables e^{-S} and
+  e^{S}, and the transition energies of ``ising``, all read it.
 
 Cylinder weights at different depths are projectively consistent, so every
 function depending on finitely many sites has a well-defined integral.  Both
@@ -62,6 +64,25 @@ def _index(depth: int) -> np.ndarray:
 
 def _site_bit(idx: np.ndarray, site: int) -> np.ndarray:
     return (idx >> (site - 1)) & 1
+
+
+def _exceeds(dev: float, worst: float) -> bool:
+    """Whether dev is worse than worst: NaN beats every number (max() would drop it)."""
+    return not (math.isnan(worst) or dev <= worst)
+
+
+def _worse(worst: float, dev: float) -> float:
+    """The larger deviation, NaN if either one is."""
+    return dev if _exceeds(dev, worst) else worst
+
+
+def _max_abs(arr) -> float:
+    """Largest absolute entry; NaN if any entry is NaN."""
+    if arr.size == 0:
+        return 0.0
+    if arr.dtype == object:
+        return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
+    return float(np.max(np.abs(arr)))
 
 
 class CylinderFunction:
@@ -163,6 +184,33 @@ class CylinderFunction:
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, values={self.values!r})"
+
+
+def tables_to_json(tables: dict, encode) -> list:
+    """{"flips", "depth", "values"} records of a word -> table map, in word
+    order; encode, which differs between callers, lists a table's values."""
+    return [{"flips": list(w.sites), "depth": f.depth, "values": encode(f.values)}
+            for w, f in sorted(tables.items())]
+
+
+def tables_from_json(records, decode) -> tuple[dict, int]:
+    """The word -> table map of tables_to_json records, and the largest depth;
+    decode reads the values back.  InvalidSpec if a record is malformed."""
+    if not isinstance(records, list):
+        raise InvalidSpec(f"table records must form a list, got {records!r}")
+    tables, depth = {}, 0
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
+            raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
+        try:
+            w = FlipWord.from_sites(rec["flips"])
+            # CylinderFunction rejects a value count other than 2**depth
+            f = CylinderFunction(int(rec["depth"]), decode(rec["values"]))
+        except (TypeError, ValueError, LookupError) as err:
+            raise InvalidSpec(f"table entry {i}: {err}") from err
+        tables[w] = f
+        depth = max(depth, f.depth)
+    return tables, depth
 
 
 @dataclass(frozen=True)
@@ -286,35 +334,18 @@ def _bond_sums(depth: int) -> np.ndarray:
     return c
 
 
-def ising_energy_coefficient(g: GroupoidElement) -> int:
-    """S(g) in units of J: the integer with S = J * coefficient.
+def ising_energy_table(word: FlipWord, depth: int) -> np.ndarray:
+    """Integer table of S / J = C[x] - C[x ^ word], where S(x, w) = H(x ^ w) -
+    H(x) is the transition energy; depth >= horizon + 1 resolves every bond.
 
-    Computed from the bonds touching a flipped site; the prefix must resolve
-    every such bond, hence depth >= horizon + 1.
+    Callers multiply by J after the integer difference: J * (-k) == -(J * k)
+    bit for bit, so the energy and both delta tables round alike.
     """
-    w = g.flips
-    if not w:
-        return 0
-    if g.point.depth < w.horizon + 1:
-        raise DepthTooSmall(
-            f"transition energy needs depth >= {w.horizon + 1}, got {g.point.depth}"
-        )
-    bonds = set()
-    for j in w.sites:
-        if j >= 2:
-            bonds.add(j - 1)
-        bonds.add(j)
-    src = g.point ^ w
-
-    def s(p, k):
-        return 1 - 2 * p.bit(k)
-
-    # S = H(x ^ w) - H(x) = -J * sum_bonds (s s' at source - s s' at target),
-    # so the J-coefficient is the negated bond-product difference.
-    coeff = 0
-    for k in sorted(bonds):
-        coeff -= s(src, k) * s(src, k + 1) - s(g.point, k) * s(g.point, k + 1)
-    return coeff
+    if word and depth < word.horizon + 1:
+        raise DepthTooSmall(f"Ising energy for horizon {word.horizon} needs "
+                            f"depth >= {word.horizon + 1}, got {depth}")
+    c = ising_bond_coefficients(depth)
+    return c - c[_index(depth) ^ word.mask]
 
 
 @dataclass(frozen=True)
@@ -358,25 +389,16 @@ class IsingBoltzmann:
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon + 1 if word else 0
 
-    def _delta_exponent(self, word: FlipWord, depth: int) -> np.ndarray:
-        if depth < self.min_delta_depth(word):
-            raise DepthTooSmall(
-                f"Ising delta for horizon {word.horizon} needs depth >= "
-                f"{word.horizon + 1}"
-            )
-        check_depth(depth)
-        c = ising_bond_coefficients(depth)
-        # -S = J * (C[x ^ w] - C[x]); independent of depth >= horizon + 1.
-        return self.J * (c[_index(depth) ^ word.mask] - c)
-
     def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return _read_only(np.exp(self._delta_exponent(word, depth)))
+        """e^{-S}; independent of depth >= horizon + 1."""
+        return _read_only(np.exp(-self.J * ising_energy_table(word, depth)))
 
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return _read_only(np.exp(-self._delta_exponent(word, depth)))
+        return _read_only(np.exp(self.J * ising_energy_table(word, depth)))
 
     def delta(self, g: GroupoidElement) -> float:
-        return math.exp(-self.J * ising_energy_coefficient(g))
+        k = ising_energy_table(g.flips, g.point.depth)[g.point.bits]
+        return math.exp(-self.J * int(k))
 
     def to_json(self) -> dict:
         return {"kind": "ising", "J": float(self.J)}
@@ -408,19 +430,9 @@ def parse_lambda(value) -> object:
         return Fraction(value)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise InvalidSpec(f"cannot interpret lambda value {value!r}")
-
-
-def cylinder_weight(spec: MeasureSpec, p: Prefix):
-    """Weight of the depth-D cylinder at prefix p."""
-    return spec.cylinder_weight(p)
-
-
-def modular_delta(spec: MeasureSpec, g: GroupoidElement):
-    """The modular function of a transition under the given measure."""
-    return spec.delta(g)
 
 
 def integrate(spec: MeasureSpec, f: CylinderFunction):
@@ -491,7 +503,7 @@ def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     for k in range(1, n):
         expected = (2.0 * math.cosh(J)) ** (n - k)
         got = brute / partition_function_brute(J, k)
-        ratio_dev = max(ratio_dev, abs(got - expected) / abs(expected))
+        ratio_dev = _worse(ratio_dev, abs(got - expected) / abs(expected))
     flag = abs(closed - brute) / max(abs(brute), 1e-300) > tol
     return {
         "J": J,
@@ -543,20 +555,10 @@ def translation_covariance_check(spec: MeasureSpec, w: FlipWord, depth: int) -> 
     lhs = weights[_index(depth) ^ w.mask]
     rhs = spec.delta_inv_table(w, depth) * weights
     dev = np.abs(lhs - rhs)
-    if spec.exact:
-        rel = max((d / r for d, r in zip(dev.tolist(), rhs.tolist())), default=0)
-        return {
-            "measure": spec.to_json(),
-            "word": list(w.sites),
-            "depth": depth,
-            "max_rel_deviation": float(rel),
-            "exact_zero": bool(np.all(dev == 0)),
-        }
-    rel = float(np.max(dev / rhs)) if len(dev) else 0.0
     return {
         "measure": spec.to_json(),
         "word": list(w.sites),
         "depth": depth,
-        "max_rel_deviation": rel,
-        "exact_zero": False,
+        "max_rel_deviation": float(np.max(dev / rhs)),
+        "exact_zero": bool(spec.exact and np.all(dev == 0)),
     }

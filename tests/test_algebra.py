@@ -14,7 +14,6 @@ from flipchain import (
     HorizonOverflow,
     IsingBoltzmann,
     Prefix,
-    apply,
     canonical_weight,
     convolve,
     e,
@@ -30,7 +29,6 @@ from flipchain import (
     random_algebra_element,
     rng_for,
     unit,
-    zero_element,
 )
 
 SPECS = (Bernoulli(0.3), IsingBoltzmann(1.0))
@@ -64,7 +62,20 @@ def test_unit_is_neutral():
     F = random_algebra_element(rng, 3)
     assert max_abs_diff(convolve(unit(), F), F) == 0.0
     assert max_abs_diff(convolve(F, unit()), F) == 0.0
-    assert convolve(F, zero_element()).support == []
+    assert convolve(F, AlgebraElement({})).support == []
+
+
+@pytest.mark.parametrize(
+    "dtype, nan", [(np.float64, math.nan), (np.complex128, complex(math.nan, 0.0)),
+                   (object, math.nan)], ids=["float", "complex", "object"])
+def test_max_abs_diff_propagates_nan(dtype, nan):
+    def element(first):
+        return AlgebraElement({EMPTY_WORD: CylinderFunction(1, np.array([first, 1], dtype=dtype))})
+
+    zero = Fraction(0) if dtype is object else 0.0
+    assert math.isnan(max_abs_diff(element(nan), element(zero)))
+    assert math.isnan(max_abs_diff(element(zero), element(nan)))
+    assert max_abs_diff(element(zero), element(zero)) == 0.0
 
 
 def test_convolution_hand_example():
@@ -90,7 +101,7 @@ def test_linear_structure():
     lhs = convolve(F + 2 * G, H)
     rhs = convolve(F, H) + 2 * convolve(G, H)
     assert max_abs_diff(lhs, rhs) < 1e-12
-    assert max_abs_diff(F - F, zero_element()) == 0.0
+    assert max_abs_diff(F - F, AlgebraElement({})) == 0.0
     assert max_abs_diff(-F, -1 * F) == 0.0
 
 
@@ -165,7 +176,7 @@ def test_hahn_norm_frozen_value():
     spec = Bernoulli(Fraction(3, 10))
     V = pukanszky_V(e(1), spec)
     assert hahn_norm(V, spec) == pytest.approx(math.sqrt(7 / 3), rel=1e-14)
-    assert hahn_norm(zero_element(), spec) == 0.0
+    assert hahn_norm(AlgebraElement({}), spec) == 0.0
 
 
 def test_hahn_norm_dominates_l2_of_action():
@@ -175,7 +186,7 @@ def test_hahn_norm_dominates_l2_of_action():
             F = random_algebra_element(rng, 4, horizon=3)
             psi = random_algebra_element(rng, 4, 2, horizon=3)
             bound = hahn_norm(F, spec) * l2_norm(psi, spec)
-            assert l2_norm(apply(F, psi), spec) <= bound + 1e-12
+            assert l2_norm(convolve(F, psi), spec) <= bound + 1e-12
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=["bernoulli", "ising"])

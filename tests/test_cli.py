@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from flipchain import cli
 from flipchain.cli import main
 
 
@@ -52,6 +53,13 @@ def test_invariant_violation_exit_1(capsys):
     assert doc["passed"] is False
     assert "invariant" in doc["failure"]
     assert doc["failure"]["witness"]
+
+
+def test_algebra_nan_deviation_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: math.nan)
+    code, doc = run_json(capsys, "algebra", "--trials", "2")
+    assert code == 1
+    assert doc["passed"] is False
 
 
 def test_haar_both_measures(capsys):
@@ -236,6 +244,32 @@ def test_config_file_rejects_stray_keys(tmp_path):
     nested = tmp_path / "nested.json"
     nested.write_text(json.dumps({"measure": {"kind": "bernoulli", "lam": 0.3}}))
     assert main(["glimm", "--config", str(nested)]) == 2
+
+
+MALFORMED_CONFIGS = {
+    "measure a number": {"measure": 5},
+    "a number": 5,
+    "a list": [1, 2],
+    "n a list": {"n": [4]},
+    "seed null": {"seed": None},
+    "tol null": {"tol": None},
+    "J null": {"measure": {"kind": "ising", "J": None}},
+    "lambda boolean": {"measure": {"lambda": True}},
+    "out a number": {"out": 5},
+    "n fractional": {"n": 4.5},
+    "n boolean": {"n": True},
+    "unknown format": {"format": "xml"},
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS)
+def test_malformed_config_exit_2(tmp_path, capsys, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ising-partition", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
 
 
 def test_csv_format(capsys):

@@ -41,7 +41,7 @@ def build_random(n, depth, master=31, exact=False):
 def test_table_fills_missing_words():
     S = DfsTable(1, {e(1): CylinderFunction(1, np.array([1.0, -1.0]))})
     assert set(S.entries) == {EMPTY_WORD, e(1)}
-    assert list(S.entry(EMPTY_WORD).values) == [0.0, 0.0]
+    assert list(S.entries[EMPTY_WORD].values) == [0.0, 0.0]
     assert S.value(GroupoidElement(Prefix(1, 1), e(1))) == -1.0
 
 
@@ -57,10 +57,10 @@ def test_table_guards():
 def test_extension_constant_seeds_oracle():
     # two constant seeds; every table entry is forced by the chain rules
     S = dfs_build(2, [CylinderFunction.constant(1.0), CylinderFunction.constant(2.0)], 2)
-    assert list(S.entry(EMPTY_WORD).values) == [0.0, 0.0, 0.0, 0.0]
-    assert list(S.entry(e(1)).values) == [1.0, -1.0, 1.0, -1.0]
-    assert list(S.entry(e(2)).values) == [2.0, 2.0, -2.0, -2.0]
-    assert list(S.entry(FlipWord.from_sites([1, 2])).values) == [3.0, 1.0, -1.0, -3.0]
+    assert list(S.entries[EMPTY_WORD].values) == [0.0, 0.0, 0.0, 0.0]
+    assert list(S.entries[e(1)].values) == [1.0, -1.0, 1.0, -1.0]
+    assert list(S.entries[e(2)].values) == [2.0, 2.0, -2.0, -2.0]
+    assert list(S.entries[FlipWord.from_sites([1, 2])].values) == [3.0, 1.0, -1.0, -3.0]
 
 
 def test_build_checks_pass():
@@ -125,7 +125,7 @@ def test_dfs_cochain_roundtrip():
     S = build_random(2, 4, master=43)
     back = cochain_to_dfs(dfs_to_cochain(S))
     for w in S.entries:
-        assert np.array_equal(back.entry(w).values, S.entry(w).values)
+        assert np.array_equal(back.entries[w].values, S.entries[w].values)
 
 
 def test_coboundary_of_parity():

@@ -17,7 +17,6 @@ from flipchain import (
     enumerate_prefixes,
     identity,
     inverse,
-    xor,
 )
 
 
@@ -36,9 +35,9 @@ def test_flipword_site_bit_convention():
 def test_flipword_group_law():
     u = FlipWord.from_sites([1, 2])
     v = FlipWord.from_sites([2, 4])
-    assert xor(u, u) == EMPTY_WORD
-    assert xor(u, EMPTY_WORD) == u
-    assert xor(u, v) == xor(v, u) == FlipWord.from_sites([1, 4])
+    assert (u ^ u) == EMPTY_WORD
+    assert (u ^ EMPTY_WORD) == u
+    assert (u ^ v) == (v ^ u) == FlipWord.from_sites([1, 4])
 
 
 def test_flipword_rejects_bad_sites():

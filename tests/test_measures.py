@@ -20,9 +20,8 @@ from flipchain import (
     integrate,
     ising_bond_coefficients,
     ising_energy_brute,
-    ising_energy_coefficient,
+    ising_energy_table,
     measure_from_json,
-    modular_delta,
     parse_lambda,
     partition_function,
     partition_function_brute,
@@ -165,14 +164,14 @@ def test_ising_bond_coefficients_small():
 
 def test_ising_energy_coefficient_values():
     # flipping an interior site of the all-aligned prefix breaks two bonds
-    x = Prefix(4, 0)
-    assert ising_energy_coefficient(GroupoidElement(x, e(2))) == 4
-    assert ising_energy_coefficient(GroupoidElement(x, e(3))) == 4
+    x = 0  # the all-zeros prefix at depth 4
+    assert ising_energy_table(e(2), 4)[x] == 4
+    assert ising_energy_table(e(3), 4)[x] == 4
     # the first site has a single bond
-    assert ising_energy_coefficient(GroupoidElement(x, e(1))) == 2
-    assert ising_energy_coefficient(GroupoidElement(x, FlipWord(0))) == 0
+    assert ising_energy_table(e(1), 4)[x] == 2
+    assert ising_energy_table(FlipWord(0), 4)[x] == 0
     with pytest.raises(DepthTooSmall):
-        ising_energy_coefficient(GroupoidElement(Prefix(2, 0), e(2)))
+        ising_energy_table(e(2), 2)
 
 
 def test_ising_delta_consistent():
@@ -264,8 +263,8 @@ def test_parse_lambda():
 
 def test_modular_delta_dispatch():
     g = GroupoidElement(Prefix(2, 0b01), e(1))
-    assert modular_delta(Bernoulli(LAM), g) == Fraction(7, 3)
-    assert modular_delta(IsingBoltzmann(1.0), g) > 0
+    assert Bernoulli(LAM).delta(g) == Fraction(7, 3)
+    assert IsingBoltzmann(1.0).delta(g) > 0
 
 
 @pytest.fixture

@@ -57,7 +57,7 @@ def test_dfs_roundtrip_float():
     back = dfs_from_json(roundtrip(dfs_to_json(S)))
     assert back.n == S.n and back.depth == S.depth
     for w in S.entries:
-        assert np.array_equal(back.entry(w).values, S.entry(w).values)
+        assert np.array_equal(back.entries[w].values, S.entries[w].values)
 
 
 def test_dfs_roundtrip_exact():
@@ -65,8 +65,8 @@ def test_dfs_roundtrip_exact():
     doc = roundtrip(dfs_to_json(S))
     back = dfs_from_json(doc)
     for w in S.entries:
-        got = back.entry(w).values
-        want = S.entry(w).values
+        got = back.entries[w].values
+        want = S.entries[w].values
         assert [float(v) for v in got] == [float(v) for v in want]
 
 
