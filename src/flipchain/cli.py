@@ -54,15 +54,15 @@ from .measures import (
     Bernoulli,
     CylinderFunction,
     IsingBoltzmann,
-    _exceeds,
     _worse,
     integrate,
     parse_lambda,
     partition_report,
     pushforward_projection_check,
     translation_covariance_check,
+    worst_by_check,
 )
-from .sampling import random_algebra_element, random_word, rng_for
+from .sampling import random_algebra_element, random_cylinder, random_word, rng_for
 
 TRACE_SWEEP = (0.2, 0.3, 0.4, 0.5)
 DYNAMICS_TIMES = (0.37, 1.0, math.pi)
@@ -85,8 +85,10 @@ class RunConfig:
     def validate(self):
         if self.depth < self.n:
             raise InvalidSpec(f"depth {self.depth} below horizon {self.n}")
-        if not self.tol > 0:
-            raise InvalidSpec(f"tolerance must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise InvalidSpec(f"tolerance must be positive and finite, got {self.tol}")
+        if not math.isfinite(self.J):
+            raise InvalidSpec(f"J must be finite, got {self.J}")
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
         if self.measure_kind not in ("bernoulli", "ising"):
@@ -168,6 +170,17 @@ def config_from_args(args) -> RunConfig:
     return cfg
 
 
+def _first_failure(tol: float, *checks):
+    """The failure record of the first check whose deviation is not within tol.
+
+    Each check is (invariant, deviation, witness); NaN never passes.
+    """
+    for invariant, dev, witness in checks:
+        if not dev <= tol:
+            return {"invariant": invariant, "witness": witness}
+    return None
+
+
 def cmd_axioms(cfg: RunConfig):
     report = axioms_report(cfg.n)
     # wall time would break byte-identical reports for equal configs
@@ -183,15 +196,13 @@ def cmd_axioms(cfg: RunConfig):
 
 def cmd_haar(cfg: RunConfig):
     spec = cfg.spec()
-    rows = []
-    worst = 0.0
-    witness = None
-    for mask in range(1 << cfg.n):
-        rep = translation_covariance_check(spec, FlipWord(mask), cfg.depth)
-        rows.append(rep)
-        if _exceeds(rep["max_rel_deviation"], worst):
-            worst = rep["max_rel_deviation"]
-            witness = rep["word"]
+    rows = [
+        translation_covariance_check(spec, FlipWord(mask), cfg.depth)
+        for mask in range(1 << cfg.n)
+    ]
+    worst, witness = worst_by_check(
+        (rep["word"], {"covariance": rep["max_rel_deviation"]}) for rep in rows
+    )
     proj = [
         pushforward_projection_check(spec, cfg.depth, k)
         for k in range(1, cfg.depth)
@@ -203,36 +214,29 @@ def cmd_haar(cfg: RunConfig):
         "depth": cfg.depth,
         "covariance": rows,
         "projection": proj,
-        "max_rel_deviation": worst,
+        "max_rel_deviation": worst["covariance"],
         "max_projection_deviation": proj_worst,
     }
-    failure = None
-    if not worst <= cfg.tol:
-        failure = {"invariant": "measure covariance", "witness": {"word": witness}}
-    elif not proj_worst <= cfg.tol:
-        failure = {"invariant": "marginal consistency", "witness": None}
+    failure = _first_failure(
+        cfg.tol,
+        ("measure covariance", worst["covariance"], {"word": witness.get("covariance")}),
+        ("marginal consistency", proj_worst, None),
+    )
     return report, failure
 
 
 def cmd_algebra(cfg: RunConfig):
     spec = cfg.spec()
-    devs = {
-        "associativity": 0.0,
-        "involution_antihomomorphism": 0.0,
-        "involution_involutive": 0.0,
-        "polar_decomposition": 0.0,
-        "flip_unitary": 0.0,
-        "bound_violation": 0.0,
-    }
-    witness = {}
-    for i in range(cfg.trials):
+
+    def trial(i):
         rng = rng_for(cfg.seed, i)
         F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         H = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         psi = random_algebra_element(rng, cfg.depth, 2, horizon=cfg.n)
-
-        checks = {
+        V = pukanszky_V(random_word(rng, cfg.n) or e(1), spec)
+        # the key order is the order failures are reported in
+        return i, {
             "associativity": max_abs_diff(
                 convolve(convolve(F, G), H), convolve(F, convolve(G, H))
             ),
@@ -247,23 +251,17 @@ def cmd_algebra(cfg: RunConfig):
                 involution(F, spec),
                 modular_conjugation(modular_operator_pow(F, 0.5, spec), spec),
             ),
+            "flip_unitary": _worse(
+                max_abs_diff(convolve(V, V), unit()),
+                max_abs_diff(involution(V, spec), V),
+            ),
             "bound_violation": _worse(
                 0.0,
                 l2_norm(convolve(F, psi), spec) - hahn_norm(F, spec) * l2_norm(psi, spec),
             ),
         }
-        w = random_word(rng, cfg.n)
-        if not w:
-            w = e(1)
-        V = pukanszky_V(w, spec)
-        checks["flip_unitary"] = _worse(
-            max_abs_diff(convolve(V, V), unit()),
-            max_abs_diff(involution(V, spec), V),
-        )
-        for key, val in checks.items():
-            if _exceeds(val, devs[key]):
-                devs[key] = val
-                witness[key] = i
+
+    devs, witness = worst_by_check(map(trial, range(cfg.trials)))
     report = {
         "measure": spec.to_json(),
         "n": cfg.n,
@@ -272,25 +270,19 @@ def cmd_algebra(cfg: RunConfig):
         "seed": cfg.seed,
         "max_deviations": devs,
     }
-    failure = None
-    for key, val in devs.items():
-        if not val <= cfg.tol:
-            failure = {
-                "invariant": key,
-                "witness": {"trial": witness.get(key)},
-            }
-            break
+    failure = _first_failure(
+        cfg.tol, *((key, val, {"trial": witness.get(key)}) for key, val in devs.items())
+    )
     return report, failure
 
 
 def cmd_glimm(cfg: RunConfig):
     report = gns_compare_random(cfg.n, cfg.trials, float(cfg.lam), cfg.seed)
-    failure = None
-    if not report["max_abs_deviation"] <= cfg.tol:
-        failure = {
-            "invariant": "state equality between matrix and groupoid sides",
-            "witness": {"seed": cfg.seed},
-        }
+    failure = _first_failure(cfg.tol, (
+        "state equality between matrix and groupoid sides",
+        report["max_abs_deviation"],
+        {"seed": cfg.seed},
+    ))
     return report, failure
 
 
@@ -324,39 +316,34 @@ def cmd_trace(cfg: RunConfig):
     lams = [cfg.lam] if cfg.lam_given else list(TRACE_SWEEP)
     rows = []
     failure = None
+
+    def commutator(i, spec):
+        rng = rng_for(cfg.seed, i)
+        F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
+        G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
+        return abs(
+            complex(canonical_weight(convolve(F, G), spec))
+            - complex(canonical_weight(convolve(G, F), spec))
+        )
+
     for lam in lams:
         spec = Bernoulli(lam)
         if float(lam) == 0.5:
-            worst = 0.0
-            for i in range(cfg.trials):
-                rng = rng_for(cfg.seed, i)
-                F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-                G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-                dev = abs(
-                    complex(canonical_weight(convolve(F, G), spec))
-                    - complex(canonical_weight(convolve(G, F), spec))
-                )
-                worst = _worse(worst, dev)
+            worst = reduce(_worse, (commutator(i, spec) for i in range(cfg.trials)), 0.0)
             row = {
                 "lambda": float(lam),
                 "mode": "tracial",
                 "max_commutator_deviation": worst,
                 "passed": worst <= cfg.tol,
             }
-            if not row["passed"] and failure is None:
-                failure = {
-                    "invariant": "trace property at the symmetric point",
-                    "witness": {"lambda": 0.5},
-                }
+            invariant = "trace property at the symmetric point"
         else:
             wit = _trace_witness(spec)
             passed = wit["violation"] >= wit["floor"] - cfg.tol
             row = {"lambda": float(lam), "mode": "witness", **wit, "passed": passed}
-            if not passed and failure is None:
-                failure = {
-                    "invariant": "trace violation witness fell below its floor",
-                    "witness": {"lambda": float(lam)},
-                }
+            invariant = "trace violation witness fell below its floor"
+        if not row["passed"] and failure is None:
+            failure = {"invariant": invariant, "witness": {"lambda": float(lam)}}
         rows.append(row)
     report = {
         "trials": cfg.trials,
@@ -366,18 +353,24 @@ def cmd_trace(cfg: RunConfig):
     return report, failure
 
 
-def _real_cylinder(rng, depth: int) -> CylinderFunction:
-    return CylinderFunction(depth, rng.standard_normal(1 << depth))
+def _random_table(cfg: RunConfig):
+    seeds = [
+        random_cylinder(rng_for(cfg.seed, k), cfg.depth, complex_values=False)
+        for k in range(cfg.n)
+    ]
+    return dfs_build(cfg.n, seeds, cfg.depth)
 
 
-def _random_seeds(cfg: RunConfig):
-    return [_real_cylinder(rng_for(cfg.seed, k), cfg.depth) for k in range(cfg.n)]
+def _dfs_verdict(S, tol: float, invariant: str):
+    """The one check of a DFS table, and its failure record under tol."""
+    check = dfs_check(S, tol)
+    dev = check["max_violation"]
+    return check, _first_failure(tol, (invariant, dev, {"max_violation": dev}))
 
 
 def cmd_dfs_build(cfg: RunConfig):
-    seeds = _random_seeds(cfg)
-    S = dfs_build(cfg.n, seeds, cfg.depth)
-    check = dfs_check(S, cfg.tol)
+    S = _random_table(cfg)
+    check, failure = _dfs_verdict(S, cfg.tol, "additive chain identities of the built table")
     report = {
         "n": cfg.n,
         "depth": cfg.depth,
@@ -385,12 +378,6 @@ def cmd_dfs_build(cfg: RunConfig):
         "check": check,
         "table": dfs_to_json(S),
     }
-    failure = None
-    if not check["passed"]:
-        failure = {
-            "invariant": "additive chain identities of the built table",
-            "witness": {"max_violation": check["max_violation"]},
-        }
     return report, failure
 
 
@@ -406,32 +393,20 @@ def cmd_dfs_check(cfg: RunConfig, table_path: str | None):
         S = dfs_from_json(doc)
         source = table_path
     else:
-        S = dfs_build(cfg.n, _random_seeds(cfg), cfg.depth)
+        S = _random_table(cfg)
         source = "built from config seeds"
-    check = dfs_check(S, cfg.tol)
-    report = {"source": source, "check": check}
-    failure = None
-    if not check["passed"]:
-        failure = {
-            "invariant": "additive chain identities",
-            "witness": {"max_violation": check["max_violation"]},
-        }
-    return report, failure
+    check, failure = _dfs_verdict(S, cfg.tol, "additive chain identities")
+    return {"source": source, "check": check}, failure
 
 
 def cmd_ising_partition(cfg: RunConfig):
     report = partition_report(cfg.J, cfg.n, cfg.tol)
-    failure = None
-    if not report["rel_dev_brute_recursion"] <= cfg.tol:
-        failure = {
-            "invariant": "brute force vs transfer recursion",
-            "witness": {"J": cfg.J, "n": cfg.n},
-        }
-    elif not report["ratio_identity_max_rel_dev"] <= cfg.tol:
-        failure = {
-            "invariant": "partition ratio identity",
-            "witness": {"J": cfg.J, "n": cfg.n},
-        }
+    witness = {"J": cfg.J, "n": cfg.n}
+    failure = _first_failure(
+        cfg.tol,
+        ("brute force vs transfer recursion", report["rel_dev_brute_recursion"], witness),
+        ("partition ratio identity", report["ratio_identity_max_rel_dev"], witness),
+    )
     return report, failure
 
 
@@ -471,18 +446,12 @@ def cmd_ising_dynamics(cfg: RunConfig):
         "max_norm_drift": norm_worst,
         "non_cocycle_min_deviation": broken_min,
     }
-    failure = None
-    if not worst <= cfg.tol:
-        failure = {
-            "invariant": "phase flow equals conjugated product",
-            "witness": {"max_deviation": worst},
-        }
-    elif not norm_worst <= cfg.tol:
-        failure = {
-            "invariant": "norm preservation under the flow",
-            "witness": {"max_norm_drift": norm_worst},
-        }
-    elif not broken_min > 1e-3:
+    failure = _first_failure(
+        cfg.tol,
+        ("phase flow equals conjugated product", worst, {"max_deviation": worst}),
+        ("norm preservation under the flow", norm_worst, {"max_norm_drift": norm_worst}),
+    )
+    if failure is None and not broken_min > 1e-3:
         failure = {
             "invariant": "non-cocycle control must visibly break the equivalence",
             "witness": {"non_cocycle_min_deviation": broken_min},

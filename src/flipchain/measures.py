@@ -76,6 +76,22 @@ def _worse(worst: float, dev: float) -> float:
     return dev if _exceeds(dev, worst) else worst
 
 
+def worst_by_check(rows) -> tuple[dict, dict]:
+    """Worst deviation per check over (witness, {check: deviation}) rows.
+
+    Worsts start at 0.0, keep the first row's key order, and NaN beats every
+    number.  A check's witness is that of the first row to reach its worst;
+    there is none while the worst is 0.0.
+    """
+    worst, witness = {}, {}
+    for wit, devs in rows:
+        for key, dev in devs.items():
+            if _exceeds(dev, worst.setdefault(key, 0.0)):
+                worst[key] = dev
+                witness[key] = wit
+    return worst, witness
+
+
 def _max_abs(arr) -> float:
     """Largest absolute entry; NaN if any entry is NaN."""
     if arr.size == 0:
@@ -420,7 +436,10 @@ def measure_from_json(doc: dict) -> MeasureSpec:
     if kind == "ising":
         if "J" not in doc:
             raise InvalidSpec("ising measure needs a 'J' field")
-        return IsingBoltzmann(float(doc["J"]))
+        J = doc["J"]
+        if isinstance(J, bool) or not isinstance(J, (int, float)):
+            raise InvalidSpec(f"ising measure needs a numeric 'J', got {J!r}")
+        return IsingBoltzmann(float(J))
     raise InvalidSpec(f"unknown measure kind {kind!r}")
 
 

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from flipchain import cli
+from flipchain import cli, dfs
 from flipchain.cli import main
 
 
@@ -60,6 +60,17 @@ def test_algebra_nan_deviation_fails(monkeypatch, capsys):
     code, doc = run_json(capsys, "algebra", "--trials", "2")
     assert code == 1
     assert doc["passed"] is False
+
+
+def test_algebra_reports_first_failing_check_in_key_order(monkeypatch, capsys):
+    # only flip_unitary and bound_violation fail: the first in key order wins
+    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: 0.0)
+    monkeypatch.setattr(cli, "_worse", lambda worst, dev: 1.0)
+    code, doc = run_json(capsys, "algebra", "--trials", "2")
+    assert code == 1
+    assert doc["failure"] == {"invariant": "flip_unitary", "witness": {"trial": 0}}
+    failing = {k for k, v in doc["report"]["max_deviations"].items() if v}
+    assert failing == {"flip_unitary", "bound_violation"}
 
 
 def test_haar_both_measures(capsys):
@@ -153,6 +164,23 @@ def test_dfs_build_check_roundtrip(tmp_path, capsys):
     code2, doc2 = run_json(capsys, "dfs-check", str(out))
     assert code2 == 0
     assert doc2["report"]["source"] == str(out)
+
+
+def test_dfs_build_checks_its_table_once(monkeypatch, capsys):
+    horizons = []
+    check = dfs.dfs_check
+
+    def counting(S, tol=1e-12):
+        horizons.append(S.n)
+        return check(S, tol)
+
+    monkeypatch.setattr(cli, "dfs_check", counting)
+    monkeypatch.setattr(dfs, "dfs_check", counting)
+    code, doc = run_json(capsys, "dfs-build", "--n", "3", "--depth", "5")
+    assert code == 0
+    # each extension checks its input; the report checks the finished table
+    assert horizons == [0, 1, 2, 3]
+    assert doc["report"]["check"]["n"] == 3
 
 
 def test_dfs_check_rejects_corrupt_table(tmp_path, capsys):
@@ -267,6 +295,28 @@ def test_malformed_config_exit_2(tmp_path, capsys, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     assert main(["ising-partition", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+NON_FINITE_INPUTS = {
+    "J nan, axioms": (["axioms", "--n", "2", "--J", "nan"], None),
+    "J nan, ising-partition": (["ising-partition", "--n", "3", "--J", "nan"], None),
+    "J inf, ising-partition": (["ising-partition", "--n", "3", "--J", "inf"], None),
+    "tol inf": (["algebra", "--tol", "inf"], None),
+    "tol Infinity in a config file": (["algebra"], {"tol": math.inf}),
+    "J NaN in a config file": (["axioms"], {"measure": {"J": math.nan}}),
+}
+
+
+@pytest.mark.parametrize("argv, doc", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS)
+def test_non_finite_input_exit_2(tmp_path, capsys, argv, doc):
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))  # json writes inf as Infinity, nan as NaN
+        argv = argv + ["--config", str(path)]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")

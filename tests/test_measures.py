@@ -247,9 +247,26 @@ def test_measure_json_roundtrip():
     ising = measure_from_json({"kind": "ising", "J": 0.5})
     assert ising == IsingBoltzmann(0.5)
     assert measure_from_json(ising.to_json()) == ising
-    for bad in ({}, {"kind": "nope"}, {"kind": "bernoulli"}, {"kind": "ising"}, None):
+    bad_j = ({"kind": "ising", "J": None}, {"kind": "ising", "J": "x"},
+             {"kind": "ising", "J": True})
+    for bad in ({}, {"kind": "nope"}, {"kind": "bernoulli"}, {"kind": "ising"}, None,
+                *bad_j):
         with pytest.raises(InvalidSpec):
             measure_from_json(bad)
+
+
+def test_worst_by_check_nan_first_witness_and_zero():
+    rows = [
+        ("a", {"zero": 0.0, "tie": 1.0, "nan": 2.0}),
+        ("b", {"zero": 0.0, "tie": 1.0, "nan": math.nan}),
+        ("c", {"zero": 0.0, "tie": 0.5, "nan": 3.0}),
+    ]
+    worst, witness = measures.worst_by_check(rows)
+    assert list(worst) == ["zero", "tie", "nan"]
+    assert worst["zero"] == 0.0 and worst["tie"] == 1.0
+    assert math.isnan(worst["nan"])
+    # ties keep the first row; a worst still at 0.0 has no witness
+    assert witness == {"tie": "a", "nan": "b"}
 
 
 def test_parse_lambda():
