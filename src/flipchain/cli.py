@@ -83,6 +83,8 @@ class RunConfig:
     lam_given: bool = False
 
     def validate(self):
+        if self.n < 0:
+            raise InvalidSpec(f"horizon must be >= 0, got {self.n}")
         if self.depth < self.n:
             raise InvalidSpec(f"depth {self.depth} below horizon {self.n}")
         if not (self.tol > 0 and math.isfinite(self.tol)):

@@ -14,8 +14,11 @@ cochain complex view: 0-cochains are cylinder functions, the differential of
 order zero is the coboundary H(x ^ w) - H(x), and DFS tables are exactly the
 1-cocycles.
 
-Tables with integer or Fraction entries are checked in exact arithmetic; the
-reports carry an exact_zero flag alongside the float violation.
+A table is stored as that 1-cochain's values: one read-only (2**n, 2**depth)
+array of one dtype, row m the table of the word with mask m, so the two
+views share memory and every check is a row expression.  Tables with integer
+or Fraction entries are checked in exact arithmetic; the reports carry an
+exact_zero flag alongside the float violation.
 """
 
 from __future__ import annotations
@@ -26,18 +29,15 @@ from itertools import product
 import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec, InvariantViolation, OrderUnsupported
-from .groupoid import EMPTY_WORD, FlipWord, check_depth
+from .groupoid import FlipWord, check_depth
 from .measures import (
     CylinderFunction,
     _max_abs,
+    _read_only,
     _worse,
     tables_from_json,
     tables_to_json,
 )
-
-
-def _is_exact_dtype(dtype) -> bool:
-    return dtype == object or np.issubdtype(dtype, np.integer)
 
 
 def _common_dtype(dtypes):
@@ -48,11 +48,12 @@ def _common_dtype(dtypes):
 class DfsTable:
     """Values of S on all words up to horizon n, tables at a common depth.
 
-    Missing words are filled with zero tables, so `entries` always covers
-    the full word group of the horizon.
+    Stored as one read-only (2**n, 2**depth) array of one dtype: row m is
+    the table of the word with mask m.  Words missing from `entries` get
+    zero rows.
     """
 
-    __slots__ = ("n", "depth", "entries")
+    __slots__ = ("n", "depth", "values")
 
     def __init__(self, n: int, entries: dict, depth: int | None = None):
         d = depth if depth is not None else n
@@ -65,54 +66,54 @@ class DfsTable:
         if d < n:
             raise DepthTooSmall(f"horizon {n} needs depth >= {n}, got {d}")
         check_depth(d)
-        sample = next(iter(entries.values())).values if entries else None
-        dtype = sample.dtype if sample is not None else np.float64
-        full = {}
-        for mask in range(1 << n):
-            w = FlipWord(mask)
-            if w in entries:
-                full[w] = entries[w].lift(d)
-            elif dtype == object:
-                full[w] = CylinderFunction(d, np.zeros(1 << d, dtype=object) + 0)
-            else:
-                full[w] = CylinderFunction(d, np.zeros(1 << d, dtype=dtype))
-        self.n = n
-        self.depth = d
-        self.entries = full
+        dtype = _common_dtype([f.values.dtype for f in entries.values()] or [np.float64])
+        rows = np.zeros((1 << n, 1 << d), dtype=dtype)
+        for w, f in entries.items():
+            rows[w.mask] = f.lift(d).values
+        self.n, self.depth, self.values = n, d, _read_only(rows)
+
+    @classmethod
+    def of_rows(cls, values: np.ndarray) -> "DfsTable":
+        """Wrap a (2**n, 2**depth) row array without copying it."""
+        n, d = (s.bit_length() - 1 for s in values.shape)
+        if d < n:
+            raise DepthTooSmall(f"horizon {n} needs depth >= {n}, got {d}")
+        check_depth(d)
+        S = cls.__new__(cls)
+        S.n, S.depth, S.values = n, d, _read_only(values.view())
+        return S
+
+    @property
+    def entries(self) -> dict:
+        """The rows as a word -> CylinderFunction map (views, not copies)."""
+        return {FlipWord(m): CylinderFunction(self.depth, row)
+                for m, row in enumerate(self.values)}
 
     def value(self, g) -> float:
         """S at a single transition (point, word)."""
-        return self.entries[g.flips](g.point)
+        return CylinderFunction(self.depth, self.values[g.flips.mask])(g.point)
 
     @property
     def exact(self) -> bool:
-        return all(_is_exact_dtype(f.values.dtype) for f in self.entries.values())
+        dtype = self.values.dtype
+        return dtype == object or np.issubdtype(dtype, np.integer)
 
-    def astype(self, dtype) -> "DfsTable":
-        return DfsTable(
-            self.n,
-            {w: CylinderFunction(self.depth, f.values.astype(dtype))
-             for w, f in self.entries.items()},
-            self.depth,
-        )
+    def lift(self, depth: int) -> "DfsTable":
+        """The same table read at a greater depth: every row tiled."""
+        if depth == self.depth:
+            return self
+        if depth < self.depth:
+            raise DepthTooSmall(f"cannot lower depth {self.depth} to {depth}")
+        return DfsTable.of_rows(np.tile(self.values, (1, 1 << (depth - self.depth))))
 
     def scale(self, c) -> "DfsTable":
-        return DfsTable(
-            self.n,
-            {w: c * f for w, f in self.entries.items()},
-            self.depth,
-        )
+        return DfsTable.of_rows(c * self.values)
 
     def __add__(self, other: "DfsTable") -> "DfsTable":
         if self.n != other.n:
             raise InvariantViolation("horizon mismatch in table sum")
         d = max(self.depth, other.depth)
-        return DfsTable(
-            self.n,
-            {w: self.entries[w].lift(d) + other.entries[w].lift(d)
-             for w in self.entries},
-            d,
-        )
+        return DfsTable.of_rows(self.lift(d).values + other.lift(d).values)
 
     def __repr__(self):
         return f"DfsTable(n={self.n}, depth={self.depth})"
@@ -123,37 +124,30 @@ def dfs_check(S: DfsTable, tol: float = 1e-12) -> dict:
 
     Returns the worst absolute violation over every (word pair, prefix)
     triple, the number of scalar checks, and whether exact arithmetic gave
-    an identically zero violation.
+    an identically zero violation.  The chain identities run over blocks of
+    rows sized to keep each temporary near 2**15 entries, which is faster
+    than both one pair at a time and whole-table temporaries.
     """
-    d = S.depth
+    n, d, V = S.n, S.depth, S.values
     idx = np.arange(1 << d)
-    worst = 0.0
-    checks = 0
+    words = np.arange(1 << n)
+    worst = _worse(_max_abs(V[0]), _max_abs(V[words[:, None], idx ^ words[:, None]] + V))
 
-    worst = _worse(worst, _max_abs(S.entries[EMPTY_WORD].values))
-    checks += 1 << d
-
-    for mask in range(1 << S.n):
-        w = FlipWord(mask)
-        T = S.entries[w].values
-        worst = _worse(worst, _max_abs(T[idx ^ mask] + T))
-        checks += 1 << d
-
-    for mu in range(1 << S.n):
-        Tu = S.entries[FlipWord(mu)].values
-        for mv in range(1 << S.n):
-            Tv = S.entries[FlipWord(mv)].values
-            lhs = S.entries[FlipWord(mu ^ mv)].values
-            chain_a = Tu[idx ^ mv] + Tv
-            chain_b = Tu + Tv[idx ^ mu]
-            worst = _worse(worst, _max_abs(lhs - chain_a))
-            worst = _worse(worst, _max_abs(lhs - chain_b))
-            checks += 2 << d
+    step = max(1, (1 << 15) >> d)
+    for mu in words:
+        Tu = V[mu]
+        for start in range(0, 1 << n, step):
+            mv = words[start:start + step]
+            Tv = V[mv]
+            lhs = V[mu ^ mv]
+            worst = _worse(worst, _max_abs(lhs - (Tu[idx ^ mv[:, None]] + Tv)))
+            worst = _worse(worst, _max_abs(lhs - (Tu + Tv[:, idx ^ mu])))
 
     return {
-        "n": S.n,
+        "n": n,
         "depth": d,
-        "checks": checks,
+        # the zero word, antisymmetry per word, two chainings per word pair
+        "checks": (1 + (1 << n) + (2 << 2 * n)) << d,
         "max_violation": worst,
         "exact_zero": bool(S.exact and worst == 0),
         "passed": bool(worst <= tol),
@@ -187,40 +181,28 @@ def dfs_seed_extend(S: DfsTable, seed: CylinderFunction) -> DfsTable:
     # S(., e_{n+1}) on prefixes whose bits 1..n vanish; valid only there.
     new_single = np.where(idx & bit, -seedv[idx ^ bit], seedv)
 
-    zbars = np.arange(1 << (d - n)) << n
-    old = {w: f.lift(d).values for w, f in S.entries.items()}
-    # promote over every old entry, not just the empty word: tables may mix
-    # int64 (the zero entry) with float entries, and int output would truncate
-    out_dtype = _common_dtype([v.dtype for v in old.values()] + [seedv.dtype])
-
-    entries = dict(S.entries)
-    for mw in range(1 << n):
-        vals = np.empty(1 << d, dtype=out_dtype)
-        for z0 in range(1 << n):
-            low_vals = (
-                old[FlipWord(z0 ^ mw)][zbars ^ bit]
-                - old[FlipWord(z0)][zbars]
-                + new_single[zbars]
-            )
-            vals[zbars + z0] = low_vals
-        entries[FlipWord(mw | bit)] = CylinderFunction(d, vals)
-    return DfsTable(n + 1, entries, d)
+    old = S.lift(d).values
+    z0 = idx & (bit - 1)
+    zbar = idx ^ z0
+    words = np.arange(1 << n)
+    new = old[z0 ^ words[:, None], zbar ^ bit] - old[z0, zbar] + new_single[zbar]
+    # the rows share one dtype: an int table with float seeds turns float,
+    # as int output would truncate
+    return DfsTable.of_rows(np.concatenate([old, new]))
 
 
 def dfs_build(n: int, seeds: list, D: int) -> DfsTable:
-    """Iterate the seed extension up to horizon n; `dfs_check` the result."""
+    """Iterate the seed extension up to horizon n, then lift to depth D."""
     if len(seeds) != n:
         raise InvariantViolation(f"need {n} seeds, got {len(seeds)}")
     if D < n:
         raise DepthTooSmall(f"horizon {n} needs depth >= {n}, got {D}")
     # int64 zeros promote to whatever the seeds carry; float zeros would
     # silently de-rationalize exact seeds
-    S = DfsTable(0, {EMPTY_WORD: CylinderFunction(0, np.zeros(1, np.int64))}, 0)
+    S = DfsTable.of_rows(np.zeros((1, 1), np.int64))
     for seed in seeds:
         S = dfs_seed_extend(S, seed)
-    if S.depth < D:
-        S = DfsTable(S.n, {w: f.lift(D) for w, f in S.entries.items()}, D)
-    return S
+    return S.lift(max(S.depth, D))
 
 
 class Cochain:
@@ -293,20 +275,14 @@ def coboundary(H: Cochain) -> Cochain:
 
 
 def dfs_to_cochain(S: DfsTable) -> Cochain:
-    vals = np.stack(
-        [S.entries[FlipWord(m)].values for m in range(1 << S.n)]
-    )
-    return Cochain(1, S.n, S.depth, vals)
+    """The table as an order-1 cochain over the same rows (no copy)."""
+    return Cochain(1, S.n, S.depth, S.values)
 
 
 def cochain_to_dfs(c: Cochain) -> DfsTable:
     if c.order != 1:
         raise OrderUnsupported(f"a DFS table is an order-1 cochain, got {c.order}")
-    entries = {
-        FlipWord(m): CylinderFunction(c.depth, c.values[m])
-        for m in range(1 << c.n)
-    }
-    return DfsTable(c.n, entries, c.depth)
+    return DfsTable.of_rows(c.values)
 
 
 def is_exact(S: DfsTable, tol: float = 1e-12) -> Cochain | None:
@@ -319,19 +295,14 @@ def is_exact(S: DfsTable, tol: float = 1e-12) -> Cochain | None:
     against S; reconstruction failing the check means S is not exact at this
     truncation.
     """
-    d = S.depth
-    idx = np.arange(1 << d)
-    zbars = np.arange(1 << (d - S.n)) << S.n
-    H = np.empty(1 << d, dtype=_common_dtype([f.values.dtype for f in S.entries.values()]))
-    for m in range(1 << S.n):
-        H[zbars + m] = S.entries[FlipWord(m)].values[zbars]
-    exact_mode = S.exact
-    for m in range(1 << S.n):
-        dev = S.entries[FlipWord(m)].values - (H[idx ^ m] - H)
-        bad = _max_abs(dev) != 0 if exact_mode else not _max_abs(dev) <= tol
-        if bad:
-            return None
-    return Cochain(0, S.n, d, H)
+    idx = np.arange(1 << S.depth)
+    words = np.arange(1 << S.n)
+    low = idx & (len(words) - 1)
+    H = S.values[low, idx ^ low]
+    dev = _max_abs(S.values - (H[idx ^ words[:, None]] - H))
+    if dev != 0 if S.exact else not dev <= tol:
+        return None
+    return Cochain(0, S.n, S.depth, H)
 
 
 def _scalars_to_json(vals: np.ndarray) -> list:

@@ -177,12 +177,7 @@ def ising_dfs_coefficients(n: int, D: int):
 def ising_dfs_table(J: float, n: int, D: int):
     """Float tables of S on all words up to horizon n at depth D."""
     coeffs = ising_dfs_coefficients(n, D)
-    return DfsTable(
-        n,
-        {w: CylinderFunction(D, float(J) * f.values.astype(np.float64))
-         for w, f in coeffs.entries.items()},
-        D,
-    )
+    return DfsTable.of_rows(float(J) * coeffs.values.astype(np.float64))
 
 
 def modular_spectrum_points(lam, horizon: int) -> set:
@@ -208,9 +203,8 @@ def attained_spectrum(lam, horizon: int) -> dict:
     ham = ModularHamiltonian(lam)
     attained = set()
     for mask in range(1 << horizon):
-        word = FlipWord(mask)
-        k = ham.integer_table(word, horizon)
-        attained.update(int(v) for v in k)
+        # one table at a time: np.unique over all of them at once costs memory
+        attained.update(np.unique(ham.integer_table(FlipWord(mask), horizon)).tolist())
     expected = set(range(-horizon, horizon + 1))
     return {
         "lambda": float(lam),

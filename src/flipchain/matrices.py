@@ -201,12 +201,12 @@ def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
     product state on the dense side and the cyclic-vector weight on the
     algebra side, and records the absolute deviation.
     """
-    if n > 8:
-        raise InvalidSpec(f"n={n} too large for dense 2**n matrices")
+    if not 1 <= n <= 8:
+        raise InvalidSpec(f"n={n} outside 1..8 for dense 2**n matrices")
     lam = float(lam)
     spec = Bernoulli(lam)
-    worst = 0.0
-    for i in range(trials):
+
+    def deviation(i):
         rng = rng_for(seed, i)
         M = DenseOperator(n, np.zeros((1 << n, 1 << n), dtype=complex))
         F = AlgebraElement({})
@@ -224,9 +224,9 @@ def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
                 term_a = convolve(term_a, glimm_map(word, spec))
             M = M + c * term_m
             F = F + c * term_a
-        lhs = complex(canonical_weight(F, spec))
-        rhs = powers_state(M, lam)
-        worst = _worse(worst, abs(lhs - rhs))
+        return abs(complex(canonical_weight(F, spec)) - powers_state(M, lam))
+
+    worst = reduce(_worse, map(deviation, range(trials)), 0.0)
     return {
         "n": n,
         "lambda": lam,

@@ -514,6 +514,8 @@ def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     chain (and also under the quoted closed form); it is checked for every
     k < n.
     """
+    if n < 1:
+        raise InvalidSpec(f"partition functions need n >= 1, got {n}")
     brute = partition_function_brute(J, n)
     recursion = partition_function(J, n)
     closed = partition_function_closed_form(J, n)

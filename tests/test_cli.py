@@ -307,6 +307,11 @@ NON_FINITE_INPUTS = {
     "tol inf": (["algebra", "--tol", "inf"], None),
     "tol Infinity in a config file": (["algebra"], {"tol": math.inf}),
     "J NaN in a config file": (["axioms"], {"measure": {"J": math.nan}}),
+    **{f"n -1, {cmd}": ([cmd, "--n", "-1"], None) for cmd in (
+        "haar", "algebra", "spectrum", "glimm", "trace", "ising-dynamics",
+        "axioms", "dfs-build", "dfs-check", "ising-partition")},
+    "n 0, glimm": (["glimm", "--n", "0"], None),
+    "n 0, ising-partition": (["ising-partition", "--n", "0"], None),
 }
 
 

@@ -24,6 +24,7 @@ from flipchain import (
     random_cylinder,
     rng_for,
 )
+from flipchain.measures import _max_abs, _worse
 
 
 def build_random(n, depth, master=31, exact=False):
@@ -77,6 +78,56 @@ def test_build_exact_integer_seeds():
     assert rep["exact_zero"] is True
     assert rep["max_violation"] == 0.0
     assert S.exact
+
+
+def pair_loop_max_violation(S):
+    """Independent oracle: the three identities one word, then one word pair, at a time."""
+    idx = np.arange(1 << S.depth)
+    T = {w.mask: f.values for w, f in S.entries.items()}
+    worst = _max_abs(T[0])
+    for m in T:
+        worst = _worse(worst, _max_abs(T[m][idx ^ m] + T[m]))
+    for mu in T:
+        for mv in T:
+            worst = _worse(worst, _max_abs(T[mu ^ mv] - (T[mu][idx ^ mv] + T[mv])))
+            worst = _worse(worst, _max_abs(T[mu ^ mv] - (T[mu] + T[mv][idx ^ mu])))
+    return worst
+
+
+def test_check_matches_pair_loop_oracle():
+    # depth 13 puts 4 rows in each block of the 16 words, so the blocks split
+    S = build_random(4, 13, master=49)
+    rows = S.values.copy()
+    rows[5, 77] += 1e-3
+    corrupted = DfsTable.of_rows(rows)
+    rows = S.values.copy()
+    rows[11, 4000] = np.nan
+    with_nan = DfsTable.of_rows(rows)
+    for T in (S, corrupted, with_nan):
+        got = dfs_check(T)["max_violation"]
+        want = pair_loop_max_violation(T)
+        assert np.array_equal(got, want, equal_nan=True)
+    assert 0 < dfs_check(S)["max_violation"] < 1e-12
+    assert dfs_check(corrupted)["max_violation"] >= 1e-3
+    assert np.isnan(dfs_check(with_nan)["max_violation"])
+
+
+def test_rows_are_read_only_and_shared_with_the_cochain():
+    S = build_random(2, 4, master=50)
+    with pytest.raises(ValueError):
+        S.values[1, 0] = 1.0
+    with pytest.raises(ValueError):
+        S.entries[e(1)].values[0] = 1.0
+    c = dfs_to_cochain(S)
+    assert np.shares_memory(c.values, S.values)
+    assert np.shares_memory(cochain_to_dfs(c).values, S.values)
+
+
+def test_float_seeds_give_a_float_zero_row():
+    S = build_random(3, 5, master=51)
+    assert S.values.dtype == np.float64
+    assert S.entries[EMPTY_WORD].values.dtype == np.float64
+    assert not S.values[0].any()
 
 
 def test_build_guards():

@@ -37,6 +37,10 @@ DIGESTS = {
         (0, "f7b2962677cb0f6614adbc9c8b44de0c4d1a5d81806a1f14ebd21d6051520170"),
     "dfs-check --n 3 --depth 5":
         (0, "07f585575f514f5e9094e7c9a069f66cc96000fc310a237125252be8a5436b50"),
+    "dfs-check --n 5 --depth 12":
+        (0, "f795b2b2d6554ba1253613c928efaa4dc45edd92aa0108388360aaab1914dea6"),
+    "spectrum --n 6 --depth 6":
+        (0, "764a3b4b53a5c03225383a4528430fb259200cc0077310e8d5adb1d695611235"),
     "algebra --tol 1e-30 --trials 3":
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
 }

@@ -6,6 +6,8 @@ import numpy as np
 from flipchain import (
     AlgebraElement,
     CylinderFunction,
+    dfs_build,
+    dfs_check,
     dfs_from_json,
     dfs_to_json,
     e,
@@ -68,6 +70,22 @@ def test_dfs_roundtrip_exact():
         got = back.entries[w].values
         want = S.entries[w].values
         assert [float(v) for v in got] == [float(v) for v in want]
+
+
+def test_dfs_roundtrip_keeps_an_exact_table_exact():
+    seeds = [
+        CylinderFunction(3, np.array([Fraction(int(v), 7) for v in
+                                      rng_for(63, k).integers(-9, 10, size=8)], dtype=object))
+        for k in range(2)
+    ]
+    S = dfs_build(2, seeds, 3)
+    doc = roundtrip(dfs_to_json(S))
+    assert doc["entries"][0]["values"] == ["0"] * 8
+    back = dfs_from_json(doc)
+    assert back.exact
+    assert back.values.tolist() == S.values.tolist()
+    rep = dfs_check(back)
+    assert rep["exact_zero"] is True and rep["max_violation"] == 0.0
 
 
 def test_render_json_canonical():
