@@ -27,8 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import HorizonOverflow
-from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
+from .groupoid import EMPTY_WORD, FlipWord, check_depth
 from .measures import (
     CylinderFunction,
     MeasureSpec,
@@ -135,7 +134,7 @@ def max_abs_diff(F: AlgebraElement, G: AlgebraElement) -> float:
     return out
 
 
-def convolve(F: AlgebraElement, G: AlgebraElement, cap: int = DEPTH_CAP) -> AlgebraElement:
+def convolve(F: AlgebraElement, G: AlgebraElement) -> AlgebraElement:
     """Groupoid convolution of two elements.
 
     The support of the result is contained in the pairwise XOR of the operand
@@ -143,8 +142,6 @@ def convolve(F: AlgebraElement, G: AlgebraElement, cap: int = DEPTH_CAP) -> Alge
     are bit-for-bit reproducible.
     """
     d = max(F.depth, G.depth)
-    if d > cap:
-        raise HorizonOverflow(f"convolution at depth {d} exceeds cap {cap}")
     F, G = F.lift(d), G.lift(d)
     idx = _index(d)
     acc: dict[FlipWord, np.ndarray] = {}

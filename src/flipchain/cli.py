@@ -41,7 +41,7 @@ from .errors import (
     InvariantViolation,
     NotComposable,
 )
-from .groupoid import FlipWord, axioms_report, e
+from .groupoid import FlipWord, axioms_report, check_depth, e
 from .ising import (
     NonCocyclePerturbation,
     TransitionEnergy,
@@ -87,6 +87,7 @@ class RunConfig:
             raise InvalidSpec(f"horizon must be >= 0, got {self.n}")
         if self.depth < self.n:
             raise InvalidSpec(f"depth {self.depth} below horizon {self.n}")
+        check_depth(self.depth)
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise InvalidSpec(f"tolerance must be positive and finite, got {self.tol}")
         if not math.isfinite(self.J):

@@ -30,10 +30,10 @@ from .errors import DepthMismatch, DepthTooSmall, HorizonOverflow, NotComposable
 DEPTH_CAP = 20
 
 
-def check_depth(depth: int, cap: int = DEPTH_CAP) -> None:
+def check_depth(depth: int) -> None:
     """Raise HorizonOverflow if a 2**depth table would exceed the cap."""
-    if depth > cap:
-        raise HorizonOverflow(f"depth {depth} exceeds cap {cap}")
+    if depth > DEPTH_CAP:
+        raise HorizonOverflow(f"depth {depth} exceeds cap {DEPTH_CAP}")
 
 
 @dataclass(frozen=True, order=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
 from .dfs import DfsTable
 from .errors import DegenerateSpectrum, DepthTooSmall, InvalidSpec
-from .groupoid import DEPTH_CAP, FlipWord, GroupoidElement
+from .groupoid import FlipWord, GroupoidElement
 from .measures import Bernoulli, CylinderFunction, IsingBoltzmann, ising_energy_table
 
 
@@ -51,12 +51,8 @@ class TransitionEnergy:
     def value(self, g: GroupoidElement) -> float:
         return self.J * int(ising_energy_table(g.flips, g.point.depth)[g.point.bits])
 
-    def coefficient_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        """Integer table of S / J against the prefix, exact arithmetic."""
-        return ising_energy_table(word, depth)
-
     def table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return self.J * self.coefficient_table(word, depth)
+        return self.J * ising_energy_table(word, depth)
 
     def measure(self) -> IsingBoltzmann:
         return IsingBoltzmann(self.J)
@@ -166,12 +162,8 @@ def ising_dfs_coefficients(n: int, D: int):
     """The S / J tables on all words up to horizon n, in exact integers."""
     if D < n + 1:
         raise DepthTooSmall(f"horizon {n} tables need depth >= {n + 1}, got {D}")
-    energy = TransitionEnergy(1.0)
-    entries = {
-        FlipWord(m): CylinderFunction(D, energy.coefficient_table(FlipWord(m), D))
-        for m in range(1 << n)
-    }
-    return DfsTable(n, entries, D)
+    rows = [ising_energy_table(FlipWord(m), D) for m in range(1 << n)]
+    return DfsTable.of_rows(np.stack(rows))
 
 
 def ising_dfs_table(J: float, n: int, D: int):
@@ -235,7 +227,6 @@ def heisenberg_equivalence_check(
     t: float,
     J: float = 1.0,
     energy=None,
-    cap: int = DEPTH_CAP,
 ) -> dict:
     """Compare the modular flow of a product with the flowed-factor product.
 
@@ -247,8 +238,8 @@ def heisenberg_equivalence_check(
         energy = TransitionEnergy(J)
     spec = energy.measure()
     evolved_F = tt_evolve(F, t, energy)
-    lhs = tt_evolve(convolve(F, tt_evolve(psi, -t, energy), cap), t, energy)
-    rhs = convolve(evolved_F, psi, cap)
+    lhs = tt_evolve(convolve(F, tt_evolve(psi, -t, energy)), t, energy)
+    rhs = convolve(evolved_F, psi)
     lam = getattr(spec, "lam", None)
     return {
         "t": float(t),

@@ -446,7 +446,10 @@ def measure_from_json(doc: dict) -> MeasureSpec:
 def parse_lambda(value) -> object:
     """Interpret a lambda parameter; strings parse exactly ('3/10', '0.3')."""
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InvalidSpec(f"lambda {value!r} has a zero denominator") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):

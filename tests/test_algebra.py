@@ -8,6 +8,7 @@ from flipchain import (
     AlgebraElement,
     Bernoulli,
     CylinderFunction,
+    DEPTH_CAP,
     EMPTY_WORD,
     FlipWord,
     GroupoidElement,
@@ -87,10 +88,14 @@ def test_convolution_hand_example():
     assert list(P.term(EMPTY_WORD).values) == [2.0 * 7.0, 3.0 * 5.0]
 
 
-def test_convolution_depth_cap():
+def test_lift_refuses_depth_beyond_cap(monkeypatch):
+    # the cap is enforced where tables grow, before any 2**depth tile is made
     F = AlgebraElement({EMPTY_WORD: CylinderFunction.constant(1.0, 6)})
+    monkeypatch.setattr(np, "tile", lambda *a: pytest.fail("tiled past the cap"))
     with pytest.raises(HorizonOverflow):
-        convolve(F, F, cap=5)
+        F.lift(DEPTH_CAP + 1)
+    with pytest.raises(HorizonOverflow):
+        F.term(EMPTY_WORD).lift(DEPTH_CAP + 1)
 
 
 def test_linear_structure():

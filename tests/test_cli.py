@@ -237,6 +237,18 @@ def test_dfs_check_malformed_table_exit_2(tmp_path, capsys, doc):
     assert captured.err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("subcommand", ["dfs-build", "dfs-check"])
+def test_depth_beyond_cap_is_refused_before_drawing(monkeypatch, capsys, subcommand):
+    def draw(*args, **kwargs):
+        raise AssertionError("seeds drawn before the depth cap was checked")
+
+    monkeypatch.setattr(cli, "random_cylinder", draw)
+    assert main([subcommand, "--n", "3", "--depth", "30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
 def test_dfs_check_builds_fresh_without_file(capsys):
     code, doc = run_json(capsys, "dfs-check", "--n", "2", "--depth", "3", "--seed", "1")
     assert code == 0
@@ -312,6 +324,8 @@ NON_FINITE_INPUTS = {
         "axioms", "dfs-build", "dfs-check", "ising-partition")},
     "n 0, glimm": (["glimm", "--n", "0"], None),
     "n 0, ising-partition": (["ising-partition", "--n", "0"], None),
+    "lambda 1/0": (["haar", "--lambda", "1/0"], None),
+    "lambda 1/0 in a config file": (["haar"], {"measure": {"lambda": "1/0"}}),
 }
 
 

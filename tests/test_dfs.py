@@ -1,3 +1,6 @@
+from fractions import Fraction
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,7 @@ from flipchain import (
     dfs_check,
     dfs_seed_extend,
     dfs_to_cochain,
+    dfs_to_json,
     e,
     is_exact,
     random_cylinder,
@@ -103,13 +107,35 @@ def test_check_matches_pair_loop_oracle():
     rows = S.values.copy()
     rows[11, 4000] = np.nan
     with_nan = DfsTable.of_rows(rows)
-    for T in (S, corrupted, with_nan):
+    # exact tables, one corrupted entry each: int64, and Fractions (object)
+    rows = build_random(4, 13, master=52, exact=True).values.copy()
+    rows[6, 1234] += 3
+    int_corrupted = DfsTable.of_rows(rows)
+    exact = build_random(3, 5, master=53, exact=True).values
+    rows = np.array([[Fraction(int(v), 7) for v in row] for row in exact], dtype=object)
+    rows[3, 17] += Fraction(1, 3)
+    fraction_corrupted = DfsTable.of_rows(rows)
+    for T in (S, corrupted, with_nan, int_corrupted, fraction_corrupted):
         got = dfs_check(T)["max_violation"]
         want = pair_loop_max_violation(T)
         assert np.array_equal(got, want, equal_nan=True)
     assert 0 < dfs_check(S)["max_violation"] < 1e-12
     assert dfs_check(corrupted)["max_violation"] >= 1e-3
     assert np.isnan(dfs_check(with_nan)["max_violation"])
+    assert dfs_check(int_corrupted)["max_violation"] == 3.0
+    assert dfs_check(fraction_corrupted)["max_violation"] == 1 / 3
+    assert int_corrupted.exact and fraction_corrupted.exact
+
+
+def test_cochains_of_every_order_are_read_only():
+    for order in range(3):
+        raw = np.zeros((4,) * order + (8,))
+        c = Cochain(order, 2, 3, raw)
+        with pytest.raises(ValueError):
+            c.values[(0,) * (order + 1)] = 1.0
+        raw[(0,) * (order + 1)] = 1.0  # the caller's own array stays writable
+    with pytest.raises(ValueError):
+        cochain_delta(c).values[0, 0, 0, 0] = 1.0
 
 
 def test_rows_are_read_only_and_shared_with_the_cochain():
@@ -161,6 +187,11 @@ def test_scale_and_add_stay_cocycles():
     A = build_random(2, 4, master=41)
     B = build_random(2, 4, master=42)
     assert dfs_check(A.scale(2.5) + B)["passed"]
+    # a sum is still a table: it has entries and serializes
+    T = A.scale(2.0) + A
+    assert set(T.entries) == set(A.entries)
+    assert dfs_check(T)["passed"]
+    assert dfs_to_json(T) == dfs_to_json(DfsTable.of_rows(T.values))
 
 
 def test_cochain_shapes():
@@ -174,6 +205,7 @@ def test_cochain_shapes():
 
 def test_dfs_cochain_roundtrip():
     S = build_random(2, 4, master=43)
+    assert dfs_to_cochain(S) is S
     back = cochain_to_dfs(dfs_to_cochain(S))
     for w in S.entries:
         assert np.array_equal(back.entries[w].values, S.entries[w].values)
@@ -187,6 +219,45 @@ def test_coboundary_of_parity():
     assert list(dH.values[0]) == [0.0] * 4
     with pytest.raises(OrderUnsupported):
         coboundary(dH)
+
+
+def product_loop_delta(c):
+    """Independent oracle: the differential one argument tuple at a time."""
+    k, gn = c.order, 1 << c.n
+    idx = np.arange(1 << c.depth)
+    out = np.zeros((gn,) * (k + 1) + (1 << c.depth,), dtype=c.values.dtype)
+    for u in product(range(gn), repeat=k + 1):
+        term = c.values[u[1:]][idx ^ u[0]]
+        for i in range(1, k + 1):
+            merged = u[:i - 1] + (u[i - 1] ^ u[i],) + u[i + 1:]
+            term = term + (-1) ** i * c.values[merged[:k]]
+        term = term + (-1) ** (k + 1) * c.values[u[:k]]
+        out[u] = term
+    return out
+
+
+@pytest.mark.parametrize("kind", ["float with a NaN", "int64", "Fraction"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_delta_matches_product_loop_oracle(order, kind):
+    rng = rng_for(55, order)
+    shape = (4,) * order + (8,)
+    if kind == "int64":
+        vals = rng.integers(-9, 10, size=shape).astype(np.int64)
+    elif kind == "Fraction":
+        ints = rng.integers(-9, 10, size=shape)
+        vals = np.vectorize(lambda v: Fraction(int(v), 7), otypes=[object])(ints)
+    else:
+        vals = rng.standard_normal(shape)
+        vals[(1,) * order + (5,)] = np.nan
+    c = Cochain(order, 2, 3, vals)
+    got, want = cochain_delta(c).values, product_loop_delta(c)
+    assert got.dtype == want.dtype == vals.dtype
+    if kind == "Fraction":
+        assert all(type(v) is Fraction for v in got.flat)
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+        assert np.isnan(got).any() == (kind != "int64")
 
 
 def test_differential_squares_to_zero():

@@ -24,6 +24,7 @@ from flipchain import (
     ising_dfs_coefficients,
     ising_dfs_table,
     ising_energy_brute,
+    ising_energy_table,
     is_exact,
     l2_norm,
     max_abs_diff,
@@ -47,11 +48,11 @@ def test_transition_energy_values():
 def test_transition_energy_tables():
     E = TransitionEnergy(1.0)
     w = FlipWord.from_sites([2])
-    coeffs = E.coefficient_table(w, 4)
+    coeffs = ising_energy_table(w, 4)
     assert coeffs.dtype == np.int64
     assert np.array_equal(E.table(w, 4), coeffs.astype(float))
     with pytest.raises(DepthTooSmall):
-        E.coefficient_table(w, 2)
+        ising_energy_table(w, 2)
     assert isinstance(E.measure(), IsingBoltzmann)
 
 

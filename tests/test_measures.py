@@ -250,7 +250,7 @@ def test_measure_json_roundtrip():
     bad_j = ({"kind": "ising", "J": None}, {"kind": "ising", "J": "x"},
              {"kind": "ising", "J": True})
     for bad in ({}, {"kind": "nope"}, {"kind": "bernoulli"}, {"kind": "ising"}, None,
-                *bad_j):
+                {"kind": "bernoulli", "lambda": "1/0"}, *bad_j):
         with pytest.raises(InvalidSpec):
             measure_from_json(bad)
 

@@ -11,15 +11,26 @@ roots, which IEEE 754 rounds correctly everywhere, and exact Fractions, so
 their digests hold on any machine.  Between them they cover
 the passing verdict of each of the algebra, haar, trace, axioms, dfs-build
 and dfs-check paths, the exact Fraction path, and one failure record.  All
-eight run in well under a second.
+run in well under a second.  COCHAIN_DIGEST pins the benchmark's library
+`cochain` operation (cochain_delta and is_exact) the same way.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
+import numpy as np
 import pytest
 
+from flipchain import (
+    CylinderFunction,
+    cochain_delta,
+    dfs_build,
+    dfs_to_cochain,
+    is_exact,
+    rng_for,
+)
 from flipchain.cli import main
 
 DIGESTS = {
@@ -45,6 +56,8 @@ DIGESTS = {
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
 }
 
+COCHAIN_DIGEST = "8dd6ebed85a62e1711b9e3e4702c6f1541f1707aa2acc67b636cbdc574582cf6"
+
 
 @pytest.mark.parametrize("argv", DIGESTS)
 def test_report_bytes_unchanged(argv):
@@ -52,3 +65,28 @@ def test_report_bytes_unchanged(argv):
     with contextlib.redirect_stdout(out):
         code = main(argv.split())
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DIGESTS[argv]
+
+
+def cochain_report() -> str:
+    """The JSON line of the benchmark's library `cochain` operation.
+
+    Built as `perfbench/onepass.py`'s `run_cochain` builds it, on a table of
+    standard-normal seeds drawn from rng_for(0, 1000 + k) at n=4, depth 8.
+    """
+    seeds = [CylinderFunction(8, rng_for(0, 1000 + k).standard_normal(1 << 8))
+             for k in range(4)]
+    table = dfs_build(4, seeds, 8)
+    delta = cochain_delta(dfs_to_cochain(table)).max_abs()
+    potential = is_exact(table)
+    report = {
+        "delta_max_abs": delta,
+        "delta_vanishes": bool(delta <= 1e-12),
+        "potential_found": potential is not None,
+        "potential_sha256": None if potential is None else
+        hashlib.sha256(np.ascontiguousarray(potential.values).tobytes()).hexdigest(),
+    }
+    return json.dumps(report, sort_keys=True) + "\n"
+
+
+def test_cochain_operation_bytes_unchanged():
+    assert hashlib.sha256(cochain_report().encode()).hexdigest() == COCHAIN_DIGEST
