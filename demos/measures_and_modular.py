@@ -14,7 +14,6 @@ from flipchain import (
     GroupoidElement,
     IsingBoltzmann,
     Prefix,
-    TransitionEnergy,
     e,
     integrate,
     inverse,
@@ -43,12 +42,12 @@ print("integral of psi_1 =", integrate(mu, psi1), "(expect", 2 * lam - 1, ")")
 rep = translation_covariance_check(mu, e(2), 4)
 print("covariance deviation:", rep["max_rel_deviation"], "exact:", rep["exact_zero"])
 
-# the coupled measure: energy differences instead of ratios
+# the coupled measure: energy differences S = -log Delta instead of ratios,
+# read at the all-zero prefix of depth 5
 nu = IsingBoltzmann(1.0)
+print("interior flip energy:", nu.energy_table(e(2), 5)[0])   # 4J
+print("boundary flip energy:", nu.energy_table(e(1), 5)[0])   # 2J
 flip2 = GroupoidElement(Prefix(5, 0), e(2))
-print("interior flip energy:", TransitionEnergy(1.0).value(flip2))   # 4J
-flip1 = GroupoidElement(Prefix(5, 0), e(1))
-print("boundary flip energy:", TransitionEnergy(1.0).value(flip1))   # 2J
 print("Boltzmann Delta of the interior flip:", nu.delta(flip2))
 
 rep = translation_covariance_check(nu, e(3), 6)

@@ -65,9 +65,7 @@ from .groupoid import (
     inverse,
 )
 from .ising import (
-    ModularHamiltonian,
     NonCocyclePerturbation,
-    TransitionEnergy,
     attained_spectrum,
     heisenberg_equivalence_check,
     ising_dfs_coefficients,

@@ -44,7 +44,6 @@ from .errors import (
 from .groupoid import FlipWord, axioms_report, check_depth, e
 from .ising import (
     NonCocyclePerturbation,
-    TransitionEnergy,
     attained_spectrum,
     heisenberg_equivalence_check,
     modular_spectrum_points,
@@ -81,6 +80,7 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     lam_given: bool = False
+    measure_given: bool = False
 
     def validate(self):
         if self.n < 0:
@@ -149,7 +149,9 @@ def config_from_args(args) -> RunConfig:
             stray = sorted(set(measure) - {"kind", "lambda", "J"})
             if stray:
                 raise InvalidSpec(f"unknown measure keys: {', '.join(stray)}")
-            cfg.measure_kind = measure.get("kind", cfg.measure_kind)
+            if "kind" in measure:
+                cfg.measure_kind = measure["kind"]
+                cfg.measure_given = True
             if "lambda" in measure:
                 cfg.lam = parse_lambda(measure["lambda"])
                 cfg.lam_given = True
@@ -160,6 +162,7 @@ def config_from_args(args) -> RunConfig:
                 setattr(cfg, key, _config_value(key, doc[key], kind))
     if args.measure is not None:
         cfg.measure_kind = args.measure
+        cfg.measure_given = True
     if args.lam is not None:
         cfg.lam = parse_lambda(args.lam)
         cfg.lam_given = True
@@ -170,6 +173,9 @@ def config_from_args(args) -> RunConfig:
         if val is not None:
             setattr(cfg, key, val)
     cfg.validate()
+    if cfg.measure_given and cfg.measure_kind not in MEASURE_KINDS[args.subcommand]:
+        raise InvalidSpec(
+            f"{args.subcommand} does not check the {cfg.measure_kind} measure")
     return cfg
 
 
@@ -415,44 +421,45 @@ def cmd_ising_partition(cfg: RunConfig):
 
 def cmd_ising_dynamics(cfg: RunConfig):
     depth = max(cfg.depth, cfg.n + 1)
-    energy = TransitionEnergy(cfg.J)
-    broken = NonCocyclePerturbation(energy)
-    runs = []
-    worst = 0.0
-    norm_worst = 0.0
-    broken_devs = []
-    for i, t in enumerate(DYNAMICS_TIMES):
+    # not cfg.spec(): without --measure that is the default Bernoulli measure
+    spec = IsingBoltzmann(cfg.J)
+    broken = NonCocyclePerturbation(spec)
+
+    def flow(i, t):
         rng = rng_for(cfg.seed, i)
         F = random_algebra_element(rng, depth, 3, horizon=cfg.n)
         psi = random_algebra_element(rng, depth, 2, horizon=cfg.n)
-        rep = heisenberg_equivalence_check(F, psi, t, cfg.J)
-        runs.append(rep)
-        worst = _worse(worst, rep["max_deviation"])
-        norm_worst = reduce(_worse, (
-            abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
-            abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
-        ), norm_worst)
+        rep = heisenberg_equivalence_check(F, psi, t, spec)
         # The defect of the broken energy lives on products whose factors
         # both touch site 1; pin such words so the control cannot pass by a
         # lucky draw.
         Fb = F + _one_at(e(1))
         psib = psi + _one_at(e(1))
-        perturbed = heisenberg_equivalence_check(Fb, psib, t, cfg.J, energy=broken)
-        broken_devs.append(perturbed["max_deviation"])
+        perturbed = heisenberg_equivalence_check(Fb, psib, t, spec, energy=broken)
+        return rep, perturbed["max_deviation"]
+
+    runs, broken_devs = zip(*(flow(i, t) for i, t in enumerate(DYNAMICS_TIMES)))
+    worst, _ = worst_by_check((rep["t"], {
+        "max_deviation": rep["max_deviation"],
+        "max_norm_drift": _worse(
+            abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
+            abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
+        ),
+    }) for rep in runs)
     broken_min = float(np.min(broken_devs))  # NaN if any is, unlike min()
     report = {
         "J": cfg.J,
         "times": list(DYNAMICS_TIMES),
         "seed": cfg.seed,
-        "runs": runs,
-        "max_deviation": worst,
-        "max_norm_drift": norm_worst,
+        "runs": list(runs),
+        **worst,  # max_deviation and max_norm_drift
         "non_cocycle_min_deviation": broken_min,
     }
+    dev, drift = worst["max_deviation"], worst["max_norm_drift"]
     failure = _first_failure(
         cfg.tol,
-        ("phase flow equals conjugated product", worst, {"max_deviation": worst}),
-        ("norm preservation under the flow", norm_worst, {"max_norm_drift": norm_worst}),
+        ("phase flow equals conjugated product", dev, {"max_deviation": dev}),
+        ("norm preservation under the flow", drift, {"max_norm_drift": drift}),
     )
     if failure is None and not broken_min > 1e-3:
         failure = {
@@ -503,6 +510,15 @@ COMMANDS = {
     "ising-partition": cmd_ising_partition,
     "ising-dynamics": cmd_ising_dynamics,
     "spectrum": cmd_spectrum,
+}
+
+# The measure kinds each subcommand checks; an explicitly given other kind
+# (flag or config file) is refused rather than silently replaced.
+MEASURE_KINDS = {
+    **dict.fromkeys(("axioms", "dfs-build", "dfs-check"), ()),
+    **dict.fromkeys(("haar", "algebra"), ("bernoulli", "ising")),
+    **dict.fromkeys(("glimm", "trace", "spectrum"), ("bernoulli",)),
+    **dict.fromkeys(("ising-partition", "ising-dynamics"), ("ising",)),
 }
 
 

@@ -12,12 +12,18 @@ Two measure families are implemented:
   written without a separate inverse temperature; the sign and magnitude of J
   carry it.  The energy difference of a flip, S = H(p ^ w) - H(p), has one
   table, ``ising_energy_table`` (in units of J): the delta tables e^{-S} and
-  e^{S}, and the transition energies of ``ising``, all read it.
+  e^{S}, and the energy table, all read it.
 
 Cylinder weights at different depths are projectively consistent, so every
 function depending on finitely many sites has a well-defined integral.  Both
 families transform under finite flips by a positive multiplier, the modular
 function: ``weight(p ^ w) = weight(p) / delta((p, w))``.
+
+Each measure owns the generator of its modular flow (``ising.tt_evolve``),
+the transition energy S = -log delta, as ``energy_table``: delta = e^{-S} for
+both families.  The Bernoulli energy is ``step * -k`` on the integer index k
+of ``lattice_table``; its delta tables stay per-site products, because deltas
+built as ratio**k would round differently.
 
 Tables are built once per process for each (measure kind, exactness,
 parameter, depth) and returned read-only: the weight tables, the Ising bond
@@ -98,7 +104,10 @@ def _max_abs(arr) -> float:
         return 0.0
     if arr.dtype == object:
         return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
-    return float(np.max(np.abs(arr)))
+    if np.iscomplexobj(arr):
+        return float(np.max(np.abs(arr)))
+    # the two extremes give the same value without an |arr| copy of the input
+    return _worse(abs(float(arr.max())), abs(float(arr.min())))
 
 
 class CylinderFunction:
@@ -281,6 +290,26 @@ class Bernoulli:
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon
 
+    @property
+    def step(self) -> float:
+        """The lattice spacing log((1 - lam) / lam) of the energies."""
+        return math.log((1 - float(self.lam)) / float(self.lam))
+
+    def lattice_table(self, word: FlipWord, depth: int) -> np.ndarray:
+        """Integer table of k = sum over flipped sites of (2 x_j - 1), the
+        exact lattice index of log delta = step * k."""
+        if depth < word.horizon:
+            raise DepthTooSmall(f"horizon {word.horizon} needs depth >= {word.horizon}")
+        idx = _index(depth)
+        k = np.zeros(1 << depth, dtype=np.int64)
+        for j in word.sites:
+            k += 2 * _site_bit(idx, j) - 1
+        return k
+
+    def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
+        """The transition energy S = -log delta = step * -k."""
+        return self.step * -self.lattice_table(word, depth)
+
     def _ratio(self):
         w0, w1 = self._pair()
         return w1 / w0  # (1 - lam) / lam
@@ -411,6 +440,10 @@ class IsingBoltzmann:
 
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
         return _read_only(np.exp(self.J * ising_energy_table(word, depth)))
+
+    def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
+        """The transition energy S = -log delta = H(x ^ w) - H(x)."""
+        return float(self.J) * ising_energy_table(word, depth)
 
     def delta(self, g: GroupoidElement) -> float:
         k = ising_energy_table(g.flips, g.point.depth)[g.point.bits]

@@ -23,7 +23,6 @@ from flipchain import (
     IsingBoltzmann,
     NonCocyclePerturbation,
     Prefix,
-    TransitionEnergy,
     attained_spectrum,
     axioms_report,
     canonical_weight,
@@ -239,6 +238,11 @@ def test_criterion_08_additive_chain_construction():
     assert cochain_delta(coboundary(Hz)).max_abs() == 0.0
 
 
+def energy(spec, g):
+    """The transition energy S(g) = -log delta(g), read from the measure's table."""
+    return spec.energy_table(g.flips, g.point.depth)[g.point.bits]
+
+
 def test_criterion_09_chain_energy_tables():
     """Bond-energy tables satisfy the chain identities with violation
     exactly zero in integer arithmetic (float twin under 1e-13), and the
@@ -253,10 +257,10 @@ def test_criterion_09_chain_energy_tables():
     J = 1.0
     for D in range(2, 9):
         zeros = Prefix(D, 0)
-        assert TransitionEnergy(J).value(GroupoidElement(zeros, e(1))) == 2 * J
+        assert energy(IsingBoltzmann(J), GroupoidElement(zeros, e(1))) == 2 * J
         for j in range(2, D):
             g = GroupoidElement(zeros, e(j))
-            assert TransitionEnergy(J).value(g) == 4 * J
+            assert energy(IsingBoltzmann(J), g) == 4 * J
             assert ising_energy_brute(J, g) == pytest.approx(4 * J, abs=1e-12)
         assert ising_energy_brute(J, GroupoidElement(zeros, e(1))) == pytest.approx(
             2 * J, abs=1e-12
@@ -267,7 +271,7 @@ def test_criterion_09_chain_energy_tables():
             bits = int(rng.integers(0, 1 << D))
             mask = int(rng.integers(0, 1 << (D - 1)))
             g = GroupoidElement(Prefix(D, bits), FlipWord(mask))
-            assert TransitionEnergy(J).value(g) == pytest.approx(
+            assert energy(IsingBoltzmann(J), g) == pytest.approx(
                 ising_energy_brute(J, g), abs=1e-12
             )
 
@@ -290,8 +294,8 @@ def test_criterion_11_phase_flow_equivalence():
     t in {0.37, 1, pi} with J = 1, preserves norms to 1e-12, and the
     non-cocycle control deviates by more than 1e-3."""
     times = (0.37, 1.0, math.pi)
-    energy = TransitionEnergy(1.0)
-    broken = NonCocyclePerturbation(energy)
+    spec = IsingBoltzmann(1.0)
+    broken = NonCocyclePerturbation(spec)
     one = AlgebraElement({e(1): CylinderFunction.constant(1.0, 1)})
     worst = 0.0
     norm_drift = 0.0
@@ -300,14 +304,14 @@ def test_criterion_11_phase_flow_equivalence():
         rng = rng_for(109, i)
         F = random_algebra_element(rng, 5, horizon=4)
         psi = random_algebra_element(rng, 5, 2, horizon=4)
-        rep = heisenberg_equivalence_check(F, psi, t, J=1.0)
+        rep = heisenberg_equivalence_check(F, psi, t, spec)
         worst = max(worst, rep["max_deviation"])
         norm_drift = max(
             norm_drift,
             abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
             abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
         )
-        control = heisenberg_equivalence_check(F + one, psi + one, t, energy=broken)
+        control = heisenberg_equivalence_check(F + one, psi + one, t, spec, energy=broken)
         control_min = min(control_min, control["max_deviation"])
     assert worst < 1e-12
     assert norm_drift < 1e-12

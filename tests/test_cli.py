@@ -1,5 +1,8 @@
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +343,58 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv, doc):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
 
+
+
+# Each subcommand checks the measure kinds cli.MEASURE_KINDS names; another
+# kind, given by flag or config file, is refused instead of silently replaced.
+MEASURE_MISMATCHES = {
+    f"{kind} {how}, {cmd}": ([cmd, "--measure", kind] if how == "flag" else [cmd],
+                             None if how == "flag" else {"measure": {"kind": kind}})
+    for cmd, kinds in (
+        ("axioms", ("bernoulli", "ising")),
+        ("dfs-build", ("bernoulli", "ising")),
+        ("dfs-check", ("bernoulli", "ising")),
+        ("glimm", ("ising",)),
+        ("trace", ("ising",)),
+        ("spectrum", ("ising",)),
+        ("ising-partition", ("bernoulli",)),
+        ("ising-dynamics", ("bernoulli",)),
+    )
+    for kind in kinds
+    for how in ("flag", "in a config file")
+}
+
+
+@pytest.mark.parametrize("argv, doc", MEASURE_MISMATCHES.values(), ids=MEASURE_MISMATCHES)
+def test_measure_mismatch_exit_2(tmp_path, capsys, argv, doc):
+    test_non_finite_input_exit_2(tmp_path, capsys, argv, doc)
+
+
+def test_measure_kinds_cover_every_subcommand():
+    assert cli.MEASURE_KINDS.keys() == set(cli.COMMANDS) | {"dfs-check"}
+
+
+def test_checked_measure_may_be_named(capsys):
+    assert run(capsys, "spectrum", "--measure", "bernoulli", "--n", "3")[0] == 0
+    assert run(capsys, "ising-partition", "--measure", "ising", "--n", "3")[0] == 0
+    code, doc = run_json(capsys, "ising-dynamics", "--measure", "ising", "--n", "2",
+                         "--depth", "3")
+    assert code == 0 and doc["config"]["measure"] == "ising"
+
+
+def test_benchmark_argv_validates(monkeypatch):
+    # an exit 2 on any benchmark operation fails the whole benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spec.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spec", path)
+    bench = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, bench)  # dataclasses look it up
+    loader.loader.exec_module(bench)
+    parser = cli.build_parser()
+    argvs = [op.argv for ops in bench.WORKLOADS.values() for op in ops if op.argv]
+    assert len(argvs) == 16
+    for argv in argvs:
+        args = [a.format(out="report.json", table="table.json") for a in argv]
+        cli.config_from_args(parser.parse_args(args + ["--seed", "0"]))
 
 def test_csv_format(capsys):
     import csv

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,8 @@ from flipchain import (
     GroupoidElement,
     InvalidSpec,
     IsingBoltzmann,
-    ModularHamiltonian,
     NonCocyclePerturbation,
     Prefix,
-    TransitionEnergy,
     attained_spectrum,
     dfs_check,
     e,
@@ -28,6 +27,7 @@ from flipchain import (
     is_exact,
     l2_norm,
     max_abs_diff,
+    modular_operator_pow,
     modular_spectrum_points,
     random_algebra_element,
     rng_for,
@@ -35,25 +35,29 @@ from flipchain import (
 )
 
 
+def energy(spec, g):
+    """The transition energy S(g) = -log delta(g), read from the measure's table."""
+    return spec.energy_table(g.flips, g.point.depth)[g.point.bits]
+
+
 def test_transition_energy_values():
     x = Prefix(4, 0)
-    E = TransitionEnergy(0.7)
-    assert E.value(GroupoidElement(x, e(2))) == pytest.approx(4 * 0.7)
-    assert E.value(GroupoidElement(x, e(1))) == pytest.approx(2 * 0.7)
-    assert TransitionEnergy(2.0).value(GroupoidElement(x, e(3))) == 8.0
+    E = IsingBoltzmann(0.7)
+    assert energy(E, GroupoidElement(x, e(2))) == pytest.approx(4 * 0.7)
+    assert energy(E, GroupoidElement(x, e(1))) == pytest.approx(2 * 0.7)
+    assert energy(IsingBoltzmann(2.0), GroupoidElement(x, e(3))) == 8.0
     with pytest.raises(InvalidSpec):
-        TransitionEnergy(math.nan)
+        IsingBoltzmann(math.nan)
 
 
 def test_transition_energy_tables():
-    E = TransitionEnergy(1.0)
+    E = IsingBoltzmann(1.0)
     w = FlipWord.from_sites([2])
     coeffs = ising_energy_table(w, 4)
     assert coeffs.dtype == np.int64
-    assert np.array_equal(E.table(w, 4), coeffs.astype(float))
+    assert np.array_equal(E.energy_table(w, 4), coeffs.astype(float))
     with pytest.raises(DepthTooSmall):
         ising_energy_table(w, 2)
-    assert isinstance(E.measure(), IsingBoltzmann)
 
 
 def test_energy_brute_force_agreement():
@@ -63,38 +67,38 @@ def test_energy_brute_force_agreement():
             w = FlipWord(mask)
             for bits in range(1 << D):
                 g = GroupoidElement(Prefix(D, bits), w)
-                closed = TransitionEnergy(1.0).value(g)
+                closed = energy(IsingBoltzmann(1.0), g)
                 assert ising_energy_brute(1.0, g) == pytest.approx(closed, abs=1e-12)
 
 
 def test_energy_matches_measure_delta():
     spec = IsingBoltzmann(0.8)
-    E = TransitionEnergy(0.8)
+    E = IsingBoltzmann(0.8)
     for bits in range(16):
         g = GroupoidElement(Prefix(4, bits), FlipWord.from_sites([1, 3]))
-        assert spec.delta(g) == pytest.approx(math.exp(-E.value(g)), rel=1e-14)
+        assert spec.delta(g) == pytest.approx(math.exp(-energy(E, g)), rel=1e-14)
 
 
 def test_modular_hamiltonian_lattice():
-    ham = ModularHamiltonian(0.3)
+    ham = Bernoulli(0.3)
     assert ham.step == pytest.approx(math.log(7 / 3), rel=1e-15)
     g = GroupoidElement(Prefix(2, 0b11), FlipWord.from_sites([1, 2]))
-    assert ham.integer_eval(g) == 2
-    assert ham.value(g) == pytest.approx(2 * ham.step)
-    table = ham.integer_table(FlipWord.from_sites([1, 2]), 2)
+    assert ham.lattice_table(g.flips, g.point.depth)[g.point.bits] == 2
+    assert energy(ham, g) == pytest.approx(-2 * ham.step)
+    table = ham.lattice_table(FlipWord.from_sites([1, 2]), 2)
     assert list(table) == [-2, 0, 0, 2]
     with pytest.raises(DepthTooSmall):
-        ham.integer_table(e(3), 2)
+        ham.lattice_table(e(3), 2)
     with pytest.raises(InvalidSpec):
-        ModularHamiltonian(1.2)
+        Bernoulli(1.2)
 
 
 def test_modular_hamiltonian_is_log_delta():
     spec = Bernoulli(0.3)
-    ham = ModularHamiltonian(0.3)
+    ham = Bernoulli(0.3)
     for bits in range(8):
         g = GroupoidElement(Prefix(3, bits), FlipWord.from_sites([1, 3]))
-        assert float(spec.delta(g)) == pytest.approx(math.exp(ham.value(g)), rel=1e-13)
+        assert float(spec.delta(g)) == pytest.approx(math.exp(-energy(ham, g)), rel=1e-13)
 
 
 def test_ising_dfs_tables_exact():
@@ -135,23 +139,22 @@ def test_attained_spectrum_window():
 
 
 def test_tt_evolve_basics():
-    energy = TransitionEnergy(1.0)
+    spec = IsingBoltzmann(1.0)
     rng = rng_for(51, 0)
     F = random_algebra_element(rng, 5, horizon=4)
-    spec = energy.measure()
-    assert max_abs_diff(tt_evolve(F, 0.0, energy), F) < 1e-15
+    assert max_abs_diff(tt_evolve(F, 0.0, spec), F) < 1e-15
     # phases have modulus one, so the flow is isometric
-    assert abs(l2_norm(tt_evolve(F, 0.9, energy), spec) - l2_norm(F, spec)) < 1e-12
+    assert abs(l2_norm(tt_evolve(F, 0.9, spec), spec) - l2_norm(F, spec)) < 1e-12
     # group law in t
-    twice = tt_evolve(tt_evolve(F, 0.4, energy), 0.5, energy)
-    assert max_abs_diff(twice, tt_evolve(F, 0.9, energy)) < 1e-12
+    twice = tt_evolve(tt_evolve(F, 0.4, spec), 0.5, spec)
+    assert max_abs_diff(twice, tt_evolve(F, 0.9, spec)) < 1e-12
 
 
 def test_heisenberg_equivalence_ising():
     rng = rng_for(52, 0)
     F = random_algebra_element(rng, 5, horizon=4)
     psi = random_algebra_element(rng, 5, 2, horizon=4)
-    rep = heisenberg_equivalence_check(F, psi, 0.37, J=1.0)
+    rep = heisenberg_equivalence_check(F, psi, 0.37, IsingBoltzmann(1.0))
     assert rep["max_deviation"] < 1e-12
     assert abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]) < 1e-12
     assert abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]) < 1e-12
@@ -163,7 +166,7 @@ def test_heisenberg_equivalence_bernoulli_side():
     rng = rng_for(53, 0)
     F = random_algebra_element(rng, 4, horizon=3)
     psi = random_algebra_element(rng, 4, 2, horizon=3)
-    rep = heisenberg_equivalence_check(F, psi, 1.3, energy=ModularHamiltonian(0.3))
+    rep = heisenberg_equivalence_check(F, psi, 1.3, Bernoulli(0.3))
     assert rep["max_deviation"] < 1e-12
     assert rep["lambda"] == 0.3 and rep["J"] is None
 
@@ -177,35 +180,63 @@ def pinned_pair():
 
 
 def test_non_cocycle_control_breaks_equivalence():
-    broken = NonCocyclePerturbation(TransitionEnergy(1.0))
+    spec = IsingBoltzmann(1.0)
+    broken = NonCocyclePerturbation(spec)
     F, psi = pinned_pair()
     for t in (0.37, 1.0, math.pi):
-        rep = heisenberg_equivalence_check(F, psi, t, energy=broken)
+        rep = heisenberg_equivalence_check(F, psi, t, spec, energy=broken)
         assert rep["max_deviation"] > 1e-3
 
 
 def test_non_cocycle_amplitude_resonance():
     # with amplitude 1 the identity defect is +-2, which e^{i . t} cannot see
     # at t = pi; the default amplitude 1/2 avoids exactly this
-    energy = TransitionEnergy(1.0)
+    spec = IsingBoltzmann(1.0)
     F, psi = pinned_pair()
-    resonant = NonCocyclePerturbation(energy, amplitude=1.0)
-    rep = heisenberg_equivalence_check(F, psi, math.pi, energy=resonant)
+    resonant = NonCocyclePerturbation(spec, amplitude=1.0)
+    rep = heisenberg_equivalence_check(F, psi, math.pi, spec, energy=resonant)
     assert rep["max_deviation"] < 1e-9
-    half = NonCocyclePerturbation(energy, amplitude=0.5)
-    rep_half = heisenberg_equivalence_check(F, psi, math.pi, energy=half)
+    half = NonCocyclePerturbation(spec, amplitude=0.5)
+    rep_half = heisenberg_equivalence_check(F, psi, math.pi, spec, energy=half)
     assert rep_half["max_deviation"] > 1e-3
 
 
 def test_non_cocycle_plumbing():
-    base = TransitionEnergy(0.6)
+    base = IsingBoltzmann(0.6)
     broken = NonCocyclePerturbation(base)
-    assert broken.J == 0.6
-    assert isinstance(broken.measure(), IsingBoltzmann)
-    assert broken.min_depth(e(1)) == 2
+    assert broken.base.J == 0.6
+    assert broken.min_delta_depth(e(1)) == 2
     w = FlipWord.from_sites([1, 2])
-    diff = broken.table(w, 3) - base.table(w, 3)
+    diff = broken.energy_table(w, 3) - base.energy_table(w, 3)
     psi2 = CylinderFunction.psi(2, 3).values
     assert np.array_equal(diff, 0.5 * psi2)
     # words avoiding site 1 are untouched
-    assert np.array_equal(broken.table(e(2), 3), base.table(e(2), 3))
+    assert np.array_equal(broken.energy_table(e(2), 3), base.energy_table(e(2), 3))
+
+
+CONVENTION_SPECS = {
+    "Bernoulli 0.3": Bernoulli(0.3),
+    "Bernoulli 3/10": Bernoulli(Fraction(3, 10)),
+    "Ising J=1": IsingBoltzmann(1.0),
+    "Ising J=2": IsingBoltzmann(2.0),
+}
+
+
+@pytest.mark.parametrize("spec", CONVENTION_SPECS.values(), ids=CONVENTION_SPECS)
+def test_energy_is_minus_log_delta(spec):
+    # one convention for both measures: delta = e^{-S}
+    depth = 5
+    for mask in range(1 << 4):
+        w = FlipWord(mask)
+        delta = np.asarray(spec.delta_table(w, depth), dtype=np.float64)
+        S = spec.energy_table(w, depth)
+        assert np.allclose(np.exp(-S), delta, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", CONVENTION_SPECS.values(), ids=CONVENTION_SPECS)
+def test_flow_at_i_is_the_modular_operator(spec):
+    G = random_algebra_element(rng_for(55, 0), 6, horizon=4)
+    flowed = tt_evolve(G, 1j, spec)
+    delta_G = modular_operator_pow(G, 1, spec)
+    scale = max(abs(complex(v)) for f in delta_G.terms.values() for v in f.values)
+    assert max_abs_diff(flowed, delta_G) <= 1e-13 * scale

@@ -399,3 +399,21 @@ def test_algebra_report_same_from_cold_and_warm_cache(cold_tables):
         assert code == 0
         outputs.append(buf.getvalue())
     assert outputs[0] == outputs[1]
+
+
+MAX_ABS_CASES = {
+    "float with a NaN": np.array([1.0, -3.5, np.nan, 2.0]),
+    "float": np.array([1.0, -3.5, 2.0]),
+    "int64": np.array([4, -7, 2], dtype=np.int64),
+    "all -0.0": np.array([-0.0, -0.0]),
+    "complex": np.array([3 + 4j, -1j, 2.0]),
+}
+
+
+@pytest.mark.parametrize("arr", MAX_ABS_CASES.values(), ids=MAX_ABS_CASES)
+def test_max_abs_equals_max_of_abs(monkeypatch, arr):
+    want = float(np.max(np.abs(arr)))
+    if not np.iscomplexobj(arr):
+        # a real input is folded from its extremes, never copied as |arr|
+        monkeypatch.setattr(np, "abs", lambda *a, **k: pytest.fail("np.abs called"))
+    assert repr(measures._max_abs(arr)) == repr(want)  # NaN is NaN, 0.0 is not -0.0
