@@ -80,6 +80,7 @@ class RunConfig:
     format: str = "json"
     out: str | None = None
     lam_given: bool = False
+    J_given: bool = False
     measure_given: bool = False
 
     def validate(self):
@@ -157,6 +158,7 @@ def config_from_args(args) -> RunConfig:
                 cfg.lam_given = True
             if "J" in measure:
                 cfg.J = _config_value("J", measure["J"], float)
+                cfg.J_given = True
         for key, kind in CONFIG_TYPES.items():
             if key in doc:
                 setattr(cfg, key, _config_value(key, doc[key], kind))
@@ -168,14 +170,23 @@ def config_from_args(args) -> RunConfig:
         cfg.lam_given = True
     if args.J is not None:
         cfg.J = args.J
+        cfg.J_given = True
     for key in CONFIG_TYPES:
         val = getattr(args, key)
         if val is not None:
             setattr(cfg, key, val)
     cfg.validate()
-    if cfg.measure_given and cfg.measure_kind not in MEASURE_KINDS[args.subcommand]:
+    kinds = MEASURE_KINDS[args.subcommand]
+    if cfg.measure_given and cfg.measure_kind not in kinds:
         raise InvalidSpec(
             f"{args.subcommand} does not check the {cfg.measure_kind} measure")
+    if len(kinds) > 1:  # haar and algebra check the one measure the config names
+        kinds = (cfg.measure_kind,)
+    for given, kind, name in ((cfg.lam_given, "bernoulli", "lambda"),
+                              (cfg.J_given, "ising", "J")):
+        if given and kind not in kinds:
+            raise InvalidSpec(
+                f"{args.subcommand} checks no {kind} measure, so it does not read {name}")
     return cfg
 
 
@@ -513,7 +524,8 @@ COMMANDS = {
 }
 
 # The measure kinds each subcommand checks; an explicitly given other kind
-# (flag or config file) is refused rather than silently replaced.
+# (flag or config file) is refused rather than silently replaced, and so is a
+# lambda or J that no checked measure reads.
 MEASURE_KINDS = {
     **dict.fromkeys(("axioms", "dfs-build", "dfs-check"), ()),
     **dict.fromkeys(("haar", "algebra"), ("bernoulli", "ising")),

@@ -11,6 +11,12 @@ Site 1 is the first tensor factor, so the matrix row index carries site 1 in
 its most significant bit.  Prefixes keep site 1 in the least significant bit;
 the two sides are never index-matched directly, equality of expectations is
 checked through the state values themselves.
+
+A Pauli word is a signed permutation matrix, built from its bit masks rather
+than as a Kronecker product: with x the letter-1 sites and z the letter-3
+sites (site k at bit n - k), entry (r, r ^ x) is (-1)**popcount((r ^ x) & z)
+and every other entry is zero.  The entries are exact, so products of words
+are the same floats in any summation order.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from .algebra import (
 )
 from .errors import InvalidSpec, SiteOutOfRange
 from .groupoid import e
-from .measures import Bernoulli, CylinderFunction, _worse
+from .measures import Bernoulli, CylinderFunction, _cached, _worse
 from .sampling import rng_for
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -127,16 +133,15 @@ class PauliWord:
         return f"PauliWord({{{body}}})"
 
 
-_FACTOR = {1: SIGMA1, 3: SIGMA3}
-
-
 def pauli_operator(w: PauliWord, n: int) -> DenseOperator:
     """Dense matrix of a Pauli word on n sites, site 1 as first factor."""
     if w.max_site > n:
         raise SiteOutOfRange(f"word uses site {w.max_site} but n={n}")
-    lookup = dict(w.letters)
-    factors = [_FACTOR.get(lookup.get(k), ID2) for k in range(1, n + 1)]
-    entries = reduce(np.kron, factors, np.eye(1))
+    x = sum(1 << (n - site) for site, letter in w.letters if letter == 1)
+    z = sum(1 << (n - site) for site, letter in w.letters if letter == 3)
+    rows = np.arange(1 << n)
+    entries = np.zeros((1 << n, 1 << n))
+    entries[rows, rows ^ x] = 1.0 - 2.0 * (np.bitwise_count((rows ^ x) & z) & 1)
     return DenseOperator(n, entries)
 
 
@@ -145,12 +150,17 @@ def powers_state(A: DenseOperator, lam) -> complex:
     lam = float(lam)
     if not 0 < lam <= 0.5:
         raise InvalidSpec(f"lambda={lam} outside (0, 1/2]")
-    site = np.array([lam, 1.0 - lam])
-    diag_weights = reduce(np.kron, [site] * A.n, np.array([1.0]))
+    diag_weights = _cached(("powers", lam, A.n), lambda: reduce(
+        np.kron, [np.array([lam, 1.0 - lam])] * A.n, np.array([1.0])))
     diag_entries = np.diagonal(A.entries)
     re = math.fsum(diag_weights * np.real(diag_entries))
     im = math.fsum(diag_weights * np.imag(diag_entries))
     return complex(re, im)
+
+
+# Word images per (measure, word); the measure key carries the parameter's
+# type, so an exact (Fraction) image is never handed to a float caller.
+_IMAGES: dict = {}
 
 
 def glimm_map(w: PauliWord, spec) -> AlgebraElement:
@@ -162,6 +172,9 @@ def glimm_map(w: PauliWord, spec) -> AlgebraElement:
     """
     if not isinstance(spec, Bernoulli):
         raise InvalidSpec("the generator correspondence needs a Bernoulli measure")
+    key = spec._key("glimm", w.letters)
+    if key in _IMAGES:
+        return _IMAGES[key]
     out = unit()
     for site, letter in w.letters:
         if letter == 1:
@@ -171,6 +184,7 @@ def glimm_map(w: PauliWord, spec) -> AlgebraElement:
                 CylinderFunction.psi(site, site, exact=spec.exact)
             )
         out = convolve(out, factor)
+    _IMAGES[key] = out
     return out
 
 

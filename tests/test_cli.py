@@ -365,9 +365,39 @@ MEASURE_MISMATCHES = {
 }
 
 
-@pytest.mark.parametrize("argv, doc", MEASURE_MISMATCHES.values(), ids=MEASURE_MISMATCHES)
+# lambda is read only where a Bernoulli measure is checked, J only where an
+# Ising one is (for haar and algebra: the kind the config names); given
+# anywhere else, by flag or config file, it is refused.
+UNREAD_PARAMETERS = {
+    f"{name} {how}, {' '.join(cmd)}": (
+        cmd + ([f"--{name}", str(value)] if how == "flag" else []),
+        None if how == "flag" else {"measure": {name: value}})
+    for name, value, cmds in (
+        ("lambda", "1/5", (["ising-partition", "--n", "2"], ["ising-dynamics"],
+                           ["axioms", "--n", "2"], ["dfs-build"], ["dfs-check"],
+                           ["haar", "--measure", "ising"],
+                           ["algebra", "--measure", "ising"])),
+        ("J", 3.0, (["glimm", "--n", "2", "--trials", "2"], ["spectrum"], ["trace"],
+                    ["axioms", "--n", "2"], ["dfs-build"], ["dfs-check"], ["haar"],
+                    ["algebra"], ["haar", "--measure", "bernoulli"])),
+    )
+    for cmd in cmds
+    for how in ("flag", "in a config file")
+}
+
+
+MISMATCHES = {**MEASURE_MISMATCHES, **UNREAD_PARAMETERS}
+
+
+@pytest.mark.parametrize("argv, doc", MISMATCHES.values(), ids=MISMATCHES)
 def test_measure_mismatch_exit_2(tmp_path, capsys, argv, doc):
     test_non_finite_input_exit_2(tmp_path, capsys, argv, doc)
+
+
+def test_checked_measure_parameter_in_a_config_file(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"measure": {"kind": "ising", "J": 2.0}}))
+    assert run(capsys, "haar", "--config", str(path), "--n", "2", "--depth", "3")[0] == 0
 
 
 def test_measure_kinds_cover_every_subcommand():

@@ -1,3 +1,8 @@
+import itertools
+import math
+from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -37,6 +42,52 @@ def test_pauli_operator_factor_order():
     both = pauli_operator(PauliWord.from_map({1: 1, 2: 3}), 2)
     assert np.array_equal(both.entries, np.kron(SIGMA1, SIGMA3))
     assert np.array_equal(pauli_operator(PauliWord(), 1).entries, ID2)
+
+
+def kron_oracle(w: PauliWord, n: int) -> np.ndarray:
+    """The word as the Kronecker product of its one-site factors."""
+    letters = dict(w.letters)
+    factor = {1: SIGMA1, 3: SIGMA3}
+    return reduce(np.kron, [factor.get(letters.get(k), ID2) for k in range(1, n + 1)],
+                  np.eye(1))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_pauli_operator_equals_kron_oracle(n):
+    # equal values (kron gives -0.0 where the permutation gives +0.0) and dtype
+    for choice in itertools.product((0, 1, 3), repeat=n):
+        w = PauliWord(tuple((k, c) for k, c in enumerate(choice, 1) if c))
+        got, want = pauli_operator(w, n).entries, kron_oracle(w, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_powers_state_bits_equal_kron_diagonal(n):
+    rng = np.random.default_rng(n)
+    for lam in (0.1, 0.3, 0.5):
+        weights = reduce(np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0]))
+        for _ in range(2):  # the first call builds the diagonal, the second reads it
+            diag = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+            want = complex(math.fsum(weights * diag.real), math.fsum(weights * diag.imag))
+            assert powers_state(DenseOperator(n, np.diag(diag)), lam) == want
+
+
+def test_glimm_map_memo_keeps_exact_and_float_apart():
+    w = PauliWord.from_map({1: 1, 2: 3})
+    exact = Bernoulli(Fraction(1, 2))
+    uncached = convolve(pukanszky_V(e(1), exact),
+                        pukanszky_L(CylinderFunction.psi(2, 2, exact=True)))
+    floats = glimm_map(w, Bernoulli(0.5))
+    assert all(f.values.dtype != object for f in floats.terms.values())
+    # Bernoulli(0.5) == Bernoulli(Fraction(1, 2)), yet the image differs in kind
+    image = glimm_map(w, exact)
+    assert image.terms.keys() == uncached.terms.keys()
+    for word, f in image.terms.items():
+        assert f.values.dtype == object
+        assert list(f.values) == list(uncached.terms[word].values)
+    assert glimm_map(w, exact) is image
+    with pytest.raises(InvalidSpec):
+        glimm_map(w, IsingBoltzmann(1.0))
 
 
 def test_pauli_word_guards():

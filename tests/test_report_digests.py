@@ -4,14 +4,18 @@ A speed or simplicity change must leave every report byte-identical, so a
 report may change bytes only in a change whose stated purpose is to change
 that report; the digest below is then updated in the same change.
 
-The configs were chosen to make no BLAS call and no numpy transcendental
-(exp, log), whose last bits can depend on the BLAS build, the CPU and the
-thread count.  What they compute is elementwise float arithmetic and square
-roots, which IEEE 754 rounds correctly everywhere, and exact Fractions, so
-their digests hold on any machine.  Between them they cover
-the passing verdict of each of the algebra, haar, trace, axioms, dfs-build
-and dfs-check paths, the exact Fraction path, and one failure record.  All
-run in well under a second.  COCHAIN_DIGEST pins the benchmark's library
+The configs were chosen to make no numpy transcendental (exp, log) and no
+BLAS call whose result depends on the summation order, since the last bits
+of either can depend on the BLAS build, the CPU and the thread count.  The
+only BLAS calls are the `glimm` matrix products of Pauli words, whose
+entries are exact 0 and +-1: each output entry is one product plus zeros, so
+it does not depend on the BLAS order or on FMA.  Everything else is
+elementwise float arithmetic and square roots, which IEEE 754 rounds
+correctly everywhere, and exact Fractions, so the digests hold on any
+machine.  Between them they cover the passing verdict of each of the
+algebra, haar, trace, glimm, axioms, dfs-build and dfs-check paths, the
+exact Fraction path, and one failure record.  All run in well under a
+second.  COCHAIN_DIGEST pins the benchmark's library
 `cochain` operation (cochain_delta and is_exact) the same way.
 """
 
@@ -52,6 +56,10 @@ DIGESTS = {
         (0, "f795b2b2d6554ba1253613c928efaa4dc45edd92aa0108388360aaab1914dea6"),
     "spectrum --n 6 --depth 6":
         (0, "764a3b4b53a5c03225383a4528430fb259200cc0077310e8d5adb1d695611235"),
+    "glimm --trials 50":
+        (0, "690dafc16bb8450e137fae48f35863bb854c350ab4e3a0e215046c7ad757bc41"),
+    "glimm --n 6 --depth 6 --trials 50":
+        (0, "a94917a8e0413ad5b71714a942946e3f19aed287670206f2f5eb9cb5bc6f682c"),
     "algebra --tol 1e-30 --trials 3":
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
 }
