@@ -11,10 +11,10 @@ import numpy as np
 from flipchain import (
     Bernoulli,
     PauliWord,
+    canonical_weight,
     convolve,
     glimm_map,
     gns_compare_random,
-    gns_expectation,
     pauli_operator,
     powers_state,
 )
@@ -23,27 +23,27 @@ lam = 0.3
 n = 4
 
 # site 1 is the first kron factor
-z1 = pauli_operator(PauliWord.from_map({1: 3}), n)
-print("sigma_3 at site 1, diagonal head:", np.diag(z1.entries)[:4].real)
+z1 = pauli_operator(PauliWord(((1, 3),)), n)
+print("sigma_3 at site 1, diagonal head:", np.diag(z1)[:4])
 
 # expectations in the product state
 print("<sigma_3(1)> =", powers_state(z1, lam), "(expect", 2 * lam - 1, ")")
-x1 = pauli_operator(PauliWord.from_map({1: 1}), n)
+x1 = pauli_operator(PauliWord(((1, 1),)), n)
 print("<sigma_1(1)> =", powers_state(x1, lam), "(off-diagonal, expect 0)")
 
-w = PauliWord.from_map({1: 3, 3: 3})
+w = PauliWord(((1, 3), (3, 3)))
 zz = pauli_operator(w, n)
 print("<sigma_3(1) sigma_3(3)> =", powers_state(zz, lam),
       "(expect", (2 * lam - 1) ** 2, ")")
 
-# the same word through the groupoid algebra
+# the same word through the groupoid algebra: the canonical weight of its image
 mu = Bernoulli(lam)
-print("algebra-side expectation:", gns_expectation(w, mu))
+print("algebra-side expectation:", canonical_weight(glimm_map(w, mu), mu))
 
 # the map is multiplicative word by word
-u = PauliWord.from_map({1: 1})
-v = PauliWord.from_map({2: 3})
-lhs = glimm_map(PauliWord.from_map({1: 1, 2: 3}), mu)
+u = PauliWord(((1, 1),))
+v = PauliWord(((2, 3),))
+lhs = glimm_map(PauliWord(((1, 1), (2, 3))), mu)
 rhs = convolve(glimm_map(u, mu), glimm_map(v, mu))
 dev = max(
     float(np.max(np.abs(lhs.term(wd).values - rhs.term(wd).values)))

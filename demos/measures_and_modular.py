@@ -24,14 +24,15 @@ lam = Fraction(3, 10)
 mu = Bernoulli(lam)
 print("exact arithmetic:", mu.exact)
 
-# weight of the cylinder fixing the first two bits to (1, 0)
-p = Prefix.from_bits([1, 0])
-print("weight of [1 0 * * ...] =", mu.cylinder_weight(p))
+# weight of the cylinder fixing the first two bits to (1, 0); site k is bit k-1
+p = Prefix(2, 0b01)
+print("weight of [1 0 * * ...] =", mu.weight_table(p.depth)[p.bits])
 
 # flipping site 1 away from a lambda-weighted bit costs (1-lam)/lam
-g = GroupoidElement(Prefix.from_bits([1, 0, 0]), e(1))
-print("Delta at x1=1, flip {1}:", mu.delta(g))     # 7/3
-print("Delta at the inverse:", mu.delta(inverse(g)))  # 3/7
+g = GroupoidElement(Prefix(3, 0b001), e(1))
+delta = mu.delta_table(g.flips, 3)  # Delta at every depth-3 prefix
+print("Delta at x1=1, flip {1}:", delta[g.point.bits])            # 7/3
+print("Delta at the inverse:", delta[inverse(g).point.bits])      # 3/7
 
 # psi_k is +1 on bit 0, -1 on bit 1; its mean is 2*lam - 1
 psi1 = CylinderFunction.psi(1, 3, exact=True)
@@ -47,8 +48,7 @@ print("covariance deviation:", rep["max_rel_deviation"], "exact:", rep["exact_ze
 nu = IsingBoltzmann(1.0)
 print("interior flip energy:", nu.energy_table(e(2), 5)[0])   # 4J
 print("boundary flip energy:", nu.energy_table(e(1), 5)[0])   # 2J
-flip2 = GroupoidElement(Prefix(5, 0), e(2))
-print("Boltzmann Delta of the interior flip:", nu.delta(flip2))
+print("Boltzmann Delta of the interior flip:", nu.delta_table(e(2), 5)[0])
 
 rep = translation_covariance_check(nu, e(3), 6)
 print("coupled covariance deviation:", rep["max_rel_deviation"])

@@ -25,7 +25,7 @@ w = FlipWord.from_sites([1, 3])
 print("word", w, "mask", bin(w.mask), "sites", w.sites, "horizon", w.horizon)
 
 # prefixes are depth-D windows; site k reads bit k-1
-p = Prefix.from_bits([1, 0, 1, 0])
+p = Prefix(4, 0b0101)
 print("prefix bits", [p.bit(k) for k in (1, 2, 3, 4)])
 
 # acting by w flips the named sites

@@ -10,8 +10,6 @@ from .algebra import (
     AlgebraElement,
     canonical_weight,
     convolve,
-    element_from_json,
-    element_to_json,
     hahn_norm,
     inner_product,
     involution,
@@ -28,7 +26,6 @@ from .dfs import (
     DfsTable,
     coboundary,
     cochain_delta,
-    cochain_to_dfs,
     dfs_build,
     dfs_check,
     dfs_from_json,
@@ -75,14 +72,9 @@ from .ising import (
     tt_evolve,
 )
 from .matrices import (
-    ID2,
-    SIGMA1,
-    SIGMA3,
-    DenseOperator,
     PauliWord,
     glimm_map,
     gns_compare_random,
-    gns_expectation,
     pauli_operator,
     powers_state,
     random_pauli_word,
@@ -95,7 +87,6 @@ from .measures import (
     integrate,
     ising_bond_coefficients,
     ising_energy_table,
-    measure_from_json,
     parse_lambda,
     partition_function,
     partition_function_brute,
@@ -107,7 +98,6 @@ from .measures import (
 from .sampling import (
     random_algebra_element,
     random_cylinder,
-    random_element_of,
     random_word,
     rng_for,
     trial_seed,

@@ -23,7 +23,6 @@ are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -35,8 +34,6 @@ from .measures import (
     _max_abs,
     _worse,
     integrate,
-    tables_from_json,
-    tables_to_json,
 )
 
 
@@ -66,21 +63,11 @@ class AlgebraElement:
     def support(self) -> list[FlipWord]:
         return sorted(self.terms)
 
-    @property
-    def horizon(self) -> int:
-        return max((w.horizon for w in self.terms), default=0)
-
     def term(self, w: FlipWord) -> CylinderFunction:
         """The cylinder function at a word; zeros when the word is absent."""
         if w in self.terms:
             return self.terms[w]
         return CylinderFunction.zero(self.depth)
-
-    def value_at(self, g) -> complex:
-        """Evaluate F at a single transition."""
-        if g.flips not in self.terms:
-            return 0.0
-        return self.terms[g.flips](g.point)
 
     def lift(self, depth: int) -> "AlgebraElement":
         if depth <= self.depth:
@@ -292,30 +279,3 @@ def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
     if EMPTY_WORD not in F.terms:
         return 0 if spec.exact else 0.0
     return integrate(spec, F.terms[EMPTY_WORD])
-
-
-def _pairs_to_json(vals: np.ndarray) -> list:
-    if vals.dtype == object:
-        return [[str(v), "0"] for v in vals.tolist()]
-    arr = np.asarray(vals, dtype=np.complex128)
-    return [[float(v.real), float(v.imag)] for v in arr.tolist()]
-
-
-def _pairs_from_json(raw) -> np.ndarray:
-    if raw and isinstance(raw[0][0], str):
-        return np.array([Fraction(re) for re, _ in raw], dtype=object)
-    return np.array([complex(re, im) for re, im in raw])
-
-
-def element_to_json(F: AlgebraElement) -> list:
-    """Serialize as a list of {flips, depth, values} records.
-
-    Values are [re, im] pairs in prefix order; floats survive the round trip
-    bit-exactly.  Exact rational tables store value strings instead.
-    """
-    return tables_to_json(F.terms, _pairs_to_json)
-
-
-def element_from_json(doc: list) -> AlgebraElement:
-    """Read an element_to_json document; InvalidSpec if it is malformed."""
-    return AlgebraElement(*tables_from_json(doc, _pairs_from_json))

@@ -187,6 +187,8 @@ def config_from_args(args) -> RunConfig:
         if given and kind not in kinds:
             raise InvalidSpec(
                 f"{args.subcommand} checks no {kind} measure, so it does not read {name}")
+    if args.subcommand == "glimm":  # the matrix side runs in float64
+        cfg.lam = float(cfg.lam)
     return cfg
 
 
@@ -297,7 +299,7 @@ def cmd_algebra(cfg: RunConfig):
 
 
 def cmd_glimm(cfg: RunConfig):
-    report = gns_compare_random(cfg.n, cfg.trials, float(cfg.lam), cfg.seed)
+    report = gns_compare_random(cfg.n, cfg.trials, cfg.lam, cfg.seed)
     failure = _first_failure(cfg.tol, (
         "state equality between matrix and groupoid sides",
         report["max_abs_deviation"],
@@ -403,8 +405,11 @@ def cmd_dfs_build(cfg: RunConfig):
 
 def cmd_dfs_check(cfg: RunConfig, table_path: str | None):
     if table_path:
-        with open(table_path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(table_path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except ValueError as err:  # not UTF-8, or not JSON
+            raise InvalidSpec(f"{table_path} is not a JSON document: {err}") from err
         # accept a bare table, a report with a table, or a full payload
         if isinstance(doc, dict) and "table" not in doc and "report" in doc:
             doc = doc["report"]
@@ -622,8 +627,12 @@ def main(argv=None) -> int:
         payload["failure"] = failure
     text = render_csv(payload) if cfg.format == "csv" else render_json(payload)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"config error: {err}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if failure is None else 1

@@ -30,14 +30,7 @@ import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec, InvariantViolation, OrderUnsupported
 from .groupoid import FlipWord, check_depth
-from .measures import (
-    CylinderFunction,
-    _max_abs,
-    _read_only,
-    _worse,
-    tables_from_json,
-    tables_to_json,
-)
+from .measures import CylinderFunction, _max_abs, _read_only, _worse
 
 
 def _common_dtype(dtypes):
@@ -83,10 +76,6 @@ class Cochain:
         return {FlipWord(m): CylinderFunction(self.depth, row)
                 for m, row in enumerate(self.values)}
 
-    def value(self, g) -> float:
-        """Order 1: S at a single transition (point, word)."""
-        return CylinderFunction(self.depth, self.values[g.flips.mask])(g.point)
-
     def max_abs(self) -> float:
         return _max_abs(self.values)
 
@@ -99,9 +88,6 @@ class Cochain:
         check_depth(depth)
         reps = (1,) * self.order + (1 << (depth - self.depth),)
         return Cochain(self.order, self.n, depth, np.tile(self.values, reps))
-
-    def scale(self, c) -> "Cochain":
-        return Cochain(self.order, self.n, self.depth, c * self.values)
 
     def _combine(self, other: "Cochain", op) -> "Cochain":
         if (self.order, self.n) != (other.order, other.n):
@@ -272,12 +258,6 @@ def dfs_to_cochain(S: DfsTable) -> Cochain:
     return S
 
 
-def cochain_to_dfs(c: Cochain) -> DfsTable:
-    if c.order != 1:
-        raise OrderUnsupported(f"a DFS table is an order-1 cochain, got {c.order}")
-    return DfsTable.of_rows(c.values)
-
-
 def is_exact(S: Cochain, tol: float = 1e-12) -> Cochain | None:
     """Solve S = coboundary(H) if possible; None if no cylinder H works.
 
@@ -297,28 +277,46 @@ def is_exact(S: Cochain, tol: float = 1e-12) -> Cochain | None:
     return H
 
 
-def _scalars_to_json(vals: np.ndarray) -> list:
-    if vals.dtype == object:
-        return [str(v) for v in vals.tolist()]
-    return [float(v) for v in vals.tolist()]
-
-
-def _scalars_from_json(raw) -> np.ndarray:
-    if raw and isinstance(raw[0], str):
-        return np.array([Fraction(v) for v in raw], dtype=object)
-    return np.array([float(v) for v in raw])
-
-
 def dfs_to_json(S: DfsTable) -> dict:
-    return {"n": S.n, "entries": tables_to_json(S.entries, _scalars_to_json)}
+    """{"n", "entries"}, one {"flips", "depth", "values"} record per word in
+    word order; floats survive the round trip bit-exactly, and an exact
+    table stores its values as strings."""
+    scalar = str if S.values.dtype == object else float
+    return {"n": S.n, "entries": [
+        {"flips": list(w.sites), "depth": f.depth,
+         "values": [scalar(v) for v in f.values.tolist()]}
+        for w, f in S.entries.items()]}
 
 
 def dfs_from_json(doc: dict) -> DfsTable:
-    """Read a dfs_to_json document; InvalidSpec if it is malformed."""
+    """Read a dfs_to_json document; InvalidSpec if it is malformed, found
+    before any table is allocated."""
     if not (isinstance(doc, dict) and {"n", "entries"} <= doc.keys()):
         raise InvalidSpec("a DFS table document needs 'n' and a list of 'entries'")
-    entries, depth = tables_from_json(doc["entries"], _scalars_from_json)
-    n = doc["n"]
-    if not isinstance(n, int) or n < 0:
+    n, records = doc["n"], doc["entries"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise InvalidSpec(f"table horizon must be a nonnegative integer, got {n!r}")
+    check_depth(n)
+    if not isinstance(records, list):
+        raise InvalidSpec(f"table records must form a list, got {records!r}")
+    entries, depth = {}, 0
+    for i, rec in enumerate(records):
+        if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
+            raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
+        try:
+            w = FlipWord.from_sites(rec["flips"])
+            raw = rec["values"]
+            if raw and isinstance(raw[0], str):
+                values = np.array([Fraction(v) for v in raw], dtype=object)
+            else:
+                values = np.array([float(v) for v in raw])
+            # CylinderFunction rejects a value count other than 2**depth
+            entries[w] = CylinderFunction(int(rec["depth"]), values)
+        except (TypeError, ValueError, LookupError) as err:
+            raise InvalidSpec(f"table entry {i}: {err}") from err
+        if w.mask >> n:
+            raise InvalidSpec(f"table entry {i}: word {w!r} exceeds horizon {n}")
+        depth = max(depth, entries[w].depth)
+    if depth < n:
+        raise InvalidSpec(f"horizon {n} needs depth >= {n}, got {depth}")
     return DfsTable(n, entries, depth)

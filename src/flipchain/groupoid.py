@@ -111,18 +111,6 @@ class Prefix:
                 f"bits {self.bits} outside the range of depth {self.depth}"
             )
 
-    @classmethod
-    def from_bits(cls, bits) -> "Prefix":
-        """Build a prefix from a sequence of 0/1 values in site order."""
-        seq = tuple(bits)
-        mask = 0
-        for k, b in enumerate(seq):
-            if b not in (0, 1):
-                raise ValueError(f"prefix entries must be 0 or 1, got {b!r}")
-            if b:
-                mask |= 1 << k
-        return cls(len(seq), mask)
-
     def bit(self, site: int) -> int:
         """Coordinate of the point at a 1-based site."""
         if site < 1:

@@ -1,6 +1,6 @@
 """Finite matrix algebras and the generator correspondence.
 
-The 2**n-dimensional side: Pauli words as dense operators, the product state
+The 2**n-dimensional side: Pauli words as dense matrices, the product state
 with per-site density diag(lambda, 1 - lambda), and the map sending the
 matrix generators into the convolution algebra,
 
@@ -40,57 +40,6 @@ from .groupoid import e
 from .measures import Bernoulli, CylinderFunction, _cached, _worse
 from .sampling import rng_for
 
-SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-ID2 = np.eye(2)
-
-
-class DenseOperator:
-    """A 2**n x 2**n matrix acting on n qubit sites."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n: int, entries):
-        entries = np.asarray(entries)
-        if entries.shape != (1 << n, 1 << n):
-            raise InvalidSpec(
-                f"entries shape {entries.shape} does not match n={n}"
-            )
-        self.n = n
-        self.entries = entries
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseOperator":
-        return cls(n, np.eye(1 << n))
-
-    def embed(self) -> "DenseOperator":
-        """Adjoin one fresh site on the right: A -> A tensor I2."""
-        return DenseOperator(self.n + 1, np.kron(self.entries, ID2))
-
-    def dagger(self) -> "DenseOperator":
-        return DenseOperator(self.n, self.entries.conj().T)
-
-    def __matmul__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.n != other.n:
-            raise InvalidSpec("operator size mismatch")
-        return DenseOperator(self.n, self.entries @ other.entries)
-
-    def __add__(self, other: "DenseOperator") -> "DenseOperator":
-        if self.n != other.n:
-            raise InvalidSpec("operator size mismatch")
-        return DenseOperator(self.n, self.entries + other.entries)
-
-    def __sub__(self, other: "DenseOperator") -> "DenseOperator":
-        return self + (-1) * other
-
-    def __mul__(self, scalar):
-        return DenseOperator(self.n, scalar * self.entries)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"DenseOperator(n={self.n})"
-
 
 @dataclass(frozen=True)
 class PauliWord:
@@ -116,10 +65,6 @@ class PauliWord:
             self, "letters", tuple(sorted(self.letters))
         )
 
-    @classmethod
-    def from_map(cls, mapping: dict) -> "PauliWord":
-        return cls(tuple(sorted(mapping.items())))
-
     @property
     def sites(self) -> tuple:
         return tuple(site for site, _ in self.letters)
@@ -133,8 +78,8 @@ class PauliWord:
         return f"PauliWord({{{body}}})"
 
 
-def pauli_operator(w: PauliWord, n: int) -> DenseOperator:
-    """Dense matrix of a Pauli word on n sites, site 1 as first factor."""
+def pauli_operator(w: PauliWord, n: int) -> np.ndarray:
+    """The 2**n x 2**n float64 matrix of a Pauli word, site 1 as first factor."""
     if w.max_site > n:
         raise SiteOutOfRange(f"word uses site {w.max_site} but n={n}")
     x = sum(1 << (n - site) for site, letter in w.letters if letter == 1)
@@ -142,17 +87,19 @@ def pauli_operator(w: PauliWord, n: int) -> DenseOperator:
     rows = np.arange(1 << n)
     entries = np.zeros((1 << n, 1 << n))
     entries[rows, rows ^ x] = 1.0 - 2.0 * (np.bitwise_count((rows ^ x) & z) & 1)
-    return DenseOperator(n, entries)
+    return entries
 
 
-def powers_state(A: DenseOperator, lam) -> complex:
-    """Product-state expectation Tr(rho**tensor n A), rho = diag(lam, 1-lam)."""
+def powers_state(A: np.ndarray, lam) -> complex:
+    """Product-state expectation Tr(rho**tensor n A), rho = diag(lam, 1-lam),
+    of a 2**n x 2**n matrix."""
     lam = float(lam)
     if not 0 < lam <= 0.5:
         raise InvalidSpec(f"lambda={lam} outside (0, 1/2]")
-    diag_weights = _cached(("powers", lam, A.n), lambda: reduce(
-        np.kron, [np.array([lam, 1.0 - lam])] * A.n, np.array([1.0])))
-    diag_entries = np.diagonal(A.entries)
+    n = len(A).bit_length() - 1
+    diag_weights = _cached(("powers", lam, n), lambda: reduce(
+        np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0])))
+    diag_entries = np.diagonal(A)
     re = math.fsum(diag_weights * np.real(diag_entries))
     im = math.fsum(diag_weights * np.imag(diag_entries))
     return complex(re, im)
@@ -188,15 +135,6 @@ def glimm_map(w: PauliWord, spec) -> AlgebraElement:
     return out
 
 
-def gns_expectation(w: PauliWord, spec) -> complex:
-    """Vector-state expectation of the mapped word at the cyclic unit vector.
-
-    Because the unit is the cyclic vector, this is just the canonical weight
-    of the image; it must agree with powers_state of the dense operator.
-    """
-    return canonical_weight(glimm_map(w, spec), spec)
-
-
 def random_pauli_word(rng: np.random.Generator, n: int) -> PauliWord:
     """Each site independently blank, letter 1, or letter 3."""
     letters = []
@@ -222,7 +160,7 @@ def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
 
     def deviation(i):
         rng = rng_for(seed, i)
-        M = DenseOperator(n, np.zeros((1 << n, 1 << n), dtype=complex))
+        M = np.zeros((1 << n, 1 << n), dtype=complex)
         F = AlgebraElement({})
         for _ in range(int(rng.integers(1, 4))):
             c = complex(rng.standard_normal(), rng.standard_normal())
@@ -231,7 +169,7 @@ def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
                 k = int(rng.integers(1, n + 1))
                 c *= 1j
                 words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
-            term_m = DenseOperator.identity(n)
+            term_m = np.eye(1 << n)
             term_a = unit()
             for word in words:
                 term_m = term_m @ pauli_operator(word, n)

@@ -44,7 +44,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec
-from .groupoid import FlipWord, GroupoidElement, Prefix, check_depth
+from .groupoid import FlipWord, check_depth
 
 
 _TABLES: dict = {}
@@ -162,13 +162,6 @@ class CylinderFunction:
     def exact(self) -> bool:
         return self.values.dtype == object
 
-    def __call__(self, p: Prefix):
-        if p.depth < self.depth:
-            raise DepthTooSmall(
-                f"depth-{self.depth} function evaluated on depth-{p.depth} prefix"
-            )
-        return self.values[p.bits & ((1 << self.depth) - 1)]
-
     def lift(self, depth: int) -> "CylinderFunction":
         """The same function read at a greater depth (padding invariance)."""
         if depth == self.depth:
@@ -177,11 +170,6 @@ class CylinderFunction:
             raise DepthTooSmall(f"cannot lower depth {self.depth} to {depth}")
         check_depth(depth)
         return CylinderFunction(depth, np.tile(self.values, 1 << (depth - self.depth)))
-
-    def shift(self, word: FlipWord) -> "CylinderFunction":
-        """The composed function x -> f(x ^ word)."""
-        f = self.lift(max(self.depth, word.horizon))
-        return CylinderFunction(f.depth, f.values[_index(f.depth) ^ word.mask])
 
     def conj(self) -> "CylinderFunction":
         return CylinderFunction(self.depth, np.conjugate(self.values))
@@ -209,33 +197,6 @@ class CylinderFunction:
 
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, values={self.values!r})"
-
-
-def tables_to_json(tables: dict, encode) -> list:
-    """{"flips", "depth", "values"} records of a word -> table map, in word
-    order; encode, which differs between callers, lists a table's values."""
-    return [{"flips": list(w.sites), "depth": f.depth, "values": encode(f.values)}
-            for w, f in sorted(tables.items())]
-
-
-def tables_from_json(records, decode) -> tuple[dict, int]:
-    """The word -> table map of tables_to_json records, and the largest depth;
-    decode reads the values back.  InvalidSpec if a record is malformed."""
-    if not isinstance(records, list):
-        raise InvalidSpec(f"table records must form a list, got {records!r}")
-    tables, depth = {}, 0
-    for i, rec in enumerate(records):
-        if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
-            raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
-        try:
-            w = FlipWord.from_sites(rec["flips"])
-            # CylinderFunction rejects a value count other than 2**depth
-            f = CylinderFunction(int(rec["depth"]), decode(rec["values"]))
-        except (TypeError, ValueError, LookupError) as err:
-            raise InvalidSpec(f"table entry {i}: {err}") from err
-        tables[w] = f
-        depth = max(depth, f.depth)
-    return tables, depth
 
 
 @dataclass(frozen=True)
@@ -277,15 +238,6 @@ class Bernoulli:
         site = np.array([w0, w1], dtype=dtype)
         # site k is bit k-1, so later sites occupy more significant bits.
         return reduce(lambda acc, _: np.kron(site, acc), range(depth - 1), site)
-
-    def cylinder_weight(self, p: Prefix):
-        if p.depth < 1:
-            raise ValueError("cylinder weights need depth >= 1")
-        w0, w1 = self._pair()
-        out = w0 / w0  # exact or float one
-        for k in range(1, p.depth + 1):
-            out = out * (w1 if p.bit(k) else w0)
-        return out
 
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon
@@ -344,16 +296,6 @@ class Bernoulli:
 
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
         return self._delta_table_signed(word, depth, -1)
-
-    def delta(self, g: GroupoidElement):
-        """Modular function of a single transition: prod ratio**(2 x_i - 1)."""
-        if g.point.depth < g.flips.horizon:
-            raise DepthTooSmall("prefix too shallow for the flip word")
-        r = self._ratio()
-        out = r / r
-        for k in g.flips.sites:
-            out = out * (r if g.point.bit(k) else 1 / r)
-        return out
 
     def to_json(self) -> dict:
         lam = str(self.lam) if self.exact else float(self.lam)
@@ -426,11 +368,6 @@ class IsingBoltzmann:
 
         return _cached(key, build)
 
-    def cylinder_weight(self, p: Prefix):
-        if p.depth < 1:
-            raise ValueError("cylinder weights need depth >= 1")
-        return self.weight_table(p.depth)[p.bits]
-
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon + 1 if word else 0
 
@@ -445,35 +382,11 @@ class IsingBoltzmann:
         """The transition energy S = -log delta = H(x ^ w) - H(x)."""
         return float(self.J) * ising_energy_table(word, depth)
 
-    def delta(self, g: GroupoidElement) -> float:
-        k = ising_energy_table(g.flips, g.point.depth)[g.point.bits]
-        return math.exp(-self.J * int(k))
-
     def to_json(self) -> dict:
         return {"kind": "ising", "J": float(self.J)}
 
 
 MeasureSpec = Bernoulli | IsingBoltzmann
-
-
-def measure_from_json(doc: dict) -> MeasureSpec:
-    """Parse {"kind":"bernoulli","lambda":...} or {"kind":"ising","J":...}."""
-    try:
-        kind = doc["kind"]
-    except (TypeError, KeyError):
-        raise InvalidSpec(f"measure document needs a 'kind' field: {doc!r}")
-    if kind == "bernoulli":
-        if "lambda" not in doc:
-            raise InvalidSpec("bernoulli measure needs a 'lambda' field")
-        return Bernoulli(parse_lambda(doc["lambda"]))
-    if kind == "ising":
-        if "J" not in doc:
-            raise InvalidSpec("ising measure needs a 'J' field")
-        J = doc["J"]
-        if isinstance(J, bool) or not isinstance(J, (int, float)):
-            raise InvalidSpec(f"ising measure needs a numeric 'J', got {J!r}")
-        return IsingBoltzmann(float(J))
-    raise InvalidSpec(f"unknown measure kind {kind!r}")
 
 
 def parse_lambda(value) -> object:

@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from .algebra import AlgebraElement
-from .groupoid import FlipWord, GroupoidElement, Prefix
+from .groupoid import FlipWord
 from .measures import CylinderFunction
 
 _TAG = b"flipchain"
@@ -35,11 +35,6 @@ def rng_for(master: int, index: int) -> np.random.Generator:
 
 def random_word(rng: np.random.Generator, n: int) -> FlipWord:
     return FlipWord(int(rng.integers(0, 1 << n)))
-
-
-def random_element_of(rng: np.random.Generator, n: int) -> GroupoidElement:
-    point = Prefix(n, int(rng.integers(0, 1 << n)))
-    return GroupoidElement(point, random_word(rng, n))
 
 
 def random_cylinder(rng: np.random.Generator, depth: int, complex_values: bool = True) -> CylinderFunction:

@@ -11,10 +11,8 @@ from flipchain import (
     DEPTH_CAP,
     EMPTY_WORD,
     FlipWord,
-    GroupoidElement,
     HorizonOverflow,
     IsingBoltzmann,
-    Prefix,
     canonical_weight,
     convolve,
     e,
@@ -46,7 +44,7 @@ def test_constructor_drops_zero_tables():
     )
     assert F.support == [e(1)]
     assert F.depth == 2  # common depth of the inputs, kept after dropping
-    assert F.horizon == 1
+    assert max(w.horizon for w in F.support) == 1
 
 
 def test_depth_lifting_and_term_access():
@@ -54,8 +52,7 @@ def test_depth_lifting_and_term_access():
     assert F.depth == 2  # word horizon forces the lift
     assert list(F.term(e(2)).values) == [1.0, 2.0, 1.0, 2.0]
     assert list(F.term(e(1)).values) == [0.0] * 4
-    assert F.value_at(GroupoidElement(Prefix(2, 0b01), e(2))) == 2.0
-    assert F.value_at(GroupoidElement(Prefix(2, 0), e(1))) == 0.0
+    assert F.term(e(2)).values[0b01] == 2.0
 
 
 def test_unit_is_neutral():

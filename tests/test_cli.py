@@ -227,14 +227,45 @@ MALFORMED_TABLES = {
     "negative depth": {"n": 1, "entries": [{"flips": [], "depth": -1, "values": []}]},
     "negative horizon": {"n": -1, "entries": []},
     "a number": 5,
+    "word beyond n": {"n": 1, "entries": [{"flips": [2], "depth": 2, "values": [0] * 4}]},
+    "n beyond the depth cap": {"n": 30, "entries": []},
+    "n 1000": {"n": 1000, "entries": []},
+    "depth below n": {"n": 2, "entries": [{"flips": [1], "depth": 1, "values": [0, 0]}]},
+    "boolean n": {"n": True, "entries": [{"flips": [], "depth": 1, "values": [0, 0]},
+                                         {"flips": [1], "depth": 1, "values": [1, -1]}]},
 }
 
 
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a table was allocated before its document was checked")
+
+
 @pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
-def test_dfs_check_malformed_table_exit_2(tmp_path, capsys, doc):
+def test_dfs_check_malformed_table_exit_2(monkeypatch, tmp_path, capsys, doc):
+    monkeypatch.setattr(dfs, "DfsTable", _refuse_table)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     assert main(["dfs-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("raw", [b"{not json", b"", b"\xff\xfe{}"],
+                         ids=["not JSON", "empty", "not UTF-8"])
+def test_dfs_check_unreadable_table_file_exit_2(tmp_path, capsys, raw):
+    path = tmp_path / "table.json"
+    path.write_bytes(raw)
+    assert main(["dfs-check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("where", ["a directory", "a missing directory"])
+def test_unwritable_out_exit_2(tmp_path, capsys, where):
+    out = tmp_path if where == "a directory" else tmp_path / "missing" / "report.json"
+    assert main(["axioms", "--n", "1", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
@@ -275,8 +306,16 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert code == 0
     assert doc["config"]["seed"] == 9  # flag wins
     assert doc["config"]["trials"] == 4  # file value kept
-    assert doc["config"]["lambda"] == "3/10"
+    # glimm runs, and echoes, the float of the file's exact "3/10"
+    assert doc["config"]["lambda"] == doc["report"]["lambda"] == 0.3
     assert main(["glimm", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("lam", ["0.3", "3/10"])
+def test_glimm_echoes_the_float_lambda_it_runs(capsys, lam):
+    code, doc = run_json(capsys, "glimm", "--lambda", lam, "--n", "2", "--trials", "2")
+    assert code == 0
+    assert doc["config"]["lambda"] == doc["report"]["lambda"] == 0.3
 
 
 def test_config_file_rejects_stray_keys(tmp_path):

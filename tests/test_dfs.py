@@ -11,13 +11,10 @@ from flipchain import (
     DfsTable,
     EMPTY_WORD,
     FlipWord,
-    GroupoidElement,
     InvariantViolation,
     OrderUnsupported,
-    Prefix,
     coboundary,
     cochain_delta,
-    cochain_to_dfs,
     dfs_build,
     dfs_check,
     dfs_seed_extend,
@@ -47,7 +44,7 @@ def test_table_fills_missing_words():
     S = DfsTable(1, {e(1): CylinderFunction(1, np.array([1.0, -1.0]))})
     assert set(S.entries) == {EMPTY_WORD, e(1)}
     assert list(S.entries[EMPTY_WORD].values) == [0.0, 0.0]
-    assert S.value(GroupoidElement(Prefix(1, 1), e(1))) == -1.0
+    assert S.values[e(1).mask][0b1] == -1.0
 
 
 def test_table_guards():
@@ -146,7 +143,6 @@ def test_rows_are_read_only_and_shared_with_the_cochain():
         S.entries[e(1)].values[0] = 1.0
     c = dfs_to_cochain(S)
     assert np.shares_memory(c.values, S.values)
-    assert np.shares_memory(cochain_to_dfs(c).values, S.values)
 
 
 def test_float_seeds_give_a_float_zero_row():
@@ -186,9 +182,9 @@ def test_extend_validates_input():
 def test_scale_and_add_stay_cocycles():
     A = build_random(2, 4, master=41)
     B = build_random(2, 4, master=42)
-    assert dfs_check(A.scale(2.5) + B)["passed"]
+    assert dfs_check(DfsTable.of_rows(2.5 * A.values) + B)["passed"]
     # a sum is still a table: it has entries and serializes
-    T = A.scale(2.0) + A
+    T = DfsTable.of_rows(2.0 * A.values) + A
     assert set(T.entries) == set(A.entries)
     assert dfs_check(T)["passed"]
     assert dfs_to_json(T) == dfs_to_json(DfsTable.of_rows(T.values))
@@ -199,16 +195,11 @@ def test_cochain_shapes():
         Cochain(1, 2, 3, np.zeros((3, 8)))
     c = Cochain.from_cylinder(CylinderFunction.zero(3), 2)
     assert c.order == 0 and c.depth == 3
-    with pytest.raises(OrderUnsupported):
-        cochain_to_dfs(c)
 
 
 def test_dfs_cochain_roundtrip():
     S = build_random(2, 4, master=43)
     assert dfs_to_cochain(S) is S
-    back = cochain_to_dfs(dfs_to_cochain(S))
-    for w in S.entries:
-        assert np.array_equal(back.entries[w].values, S.entries[w].values)
 
 
 def test_coboundary_of_parity():

@@ -50,9 +50,7 @@ def test_flipword_rejects_bad_sites():
 
 
 def test_prefix_roundtrip():
-    p = Prefix.from_bits([1, 0, 1])
-    assert p.depth == 3
-    assert p.bits == 0b101
+    p = Prefix(3, 0b101)
     assert p.as_tuple() == (1, 0, 1)
     assert p.bit(1) == 1 and p.bit(2) == 0 and p.bit(3) == 1
 
@@ -60,8 +58,6 @@ def test_prefix_roundtrip():
 def test_prefix_guards():
     with pytest.raises(ValueError):
         Prefix(2, 4)  # bits outside range
-    with pytest.raises(ValueError):
-        Prefix.from_bits([0, 2])
     with pytest.raises(DepthTooSmall):
         Prefix(2, 0).bit(3)
     with pytest.raises(DepthTooSmall):

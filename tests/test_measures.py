@@ -21,7 +21,6 @@ from flipchain import (
     ising_bond_coefficients,
     ising_energy_brute,
     ising_energy_table,
-    measure_from_json,
     parse_lambda,
     partition_function,
     partition_function_brute,
@@ -30,6 +29,7 @@ from flipchain import (
     translation_covariance_check,
 )
 from flipchain import cli, measures
+from oracles import bernoulli_delta, bernoulli_weight
 
 LAM = Fraction(3, 10)
 
@@ -51,20 +51,12 @@ def test_cylinder_lift_and_shift():
     assert list(g.values) == [2.0, 5.0] * 4
     with pytest.raises(DepthTooSmall):
         g.lift(1)
-    shifted = f.shift(e(1))
-    assert list(shifted.values) == [5.0, 2.0]
-    # shifting by a word beyond the depth lifts first
-    s2 = f.shift(e(2))
-    assert s2.depth == 2
-    assert list(s2.values) == [2.0, 5.0, 2.0, 5.0]
 
 
 def test_cylinder_eval_uses_low_bits():
     f = CylinderFunction(1, np.array([3.0, 7.0]))
-    assert f(Prefix(3, 0b110)) == 3.0
-    assert f(Prefix(3, 0b111)) == 7.0
-    with pytest.raises(DepthTooSmall):
-        CylinderFunction.psi(2, 2)(Prefix(1, 0))
+    assert f.lift(3).values[0b110] == 3.0
+    assert f.lift(3).values[0b111] == 7.0
 
 
 def test_cylinder_shape_guard():
@@ -95,9 +87,9 @@ def test_bernoulli_weights_normalized():
     assert sum(table.tolist()) == 1
     assert spec.exact
     # bit 0 carries the lambda weight
-    assert spec.cylinder_weight(Prefix(1, 0)) == LAM
-    assert spec.cylinder_weight(Prefix(1, 1)) == 1 - LAM
-    assert spec.cylinder_weight(Prefix(2, 0b01)) == (1 - LAM) * LAM
+    assert bernoulli_weight(LAM, Prefix(1, 0)) == spec.weight_table(1)[0] == LAM
+    assert bernoulli_weight(LAM, Prefix(1, 1)) == spec.weight_table(1)[1] == 1 - LAM
+    assert bernoulli_weight(LAM, Prefix(2, 0b01)) == (1 - LAM) * LAM
     # depth-4 entry: bit 0 set, bits 1-3 clear
     assert table[0b01] == (1 - LAM) * LAM**3
 
@@ -115,10 +107,9 @@ def test_bernoulli_delta_single_flip():
     spec = Bernoulli(LAM)
     # flipping site 1 when the target reads 1 weighs (1-lam)/lam
     g = GroupoidElement(Prefix(1, 1), e(1))
-    assert spec.delta(g) == Fraction(7, 3)
-    assert spec.delta(GroupoidElement(Prefix(1, 0), e(1))) == Fraction(3, 7)
-    spec_f = Bernoulli(0.3)
-    assert spec_f.delta(g) == pytest.approx(7 / 3, rel=1e-15)
+    assert bernoulli_delta(LAM, g) == spec.delta_table(e(1), 1)[1] == Fraction(7, 3)
+    assert spec.delta_table(e(1), 1)[0] == Fraction(3, 7)
+    assert Bernoulli(0.3).delta_table(e(1), 1)[1] == pytest.approx(7 / 3, rel=1e-15)
 
 
 def test_bernoulli_delta_tables_match_pointwise():
@@ -128,7 +119,7 @@ def test_bernoulli_delta_tables_match_pointwise():
     inv = spec.delta_inv_table(w, 3)
     for bits in range(8):
         g = GroupoidElement(Prefix(3, bits), w)
-        assert table[bits] == spec.delta(g)
+        assert table[bits] == bernoulli_delta(LAM, g)
         assert table[bits] * inv[bits] == 1
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)
@@ -180,7 +171,8 @@ def test_ising_delta_consistent():
     table = spec.delta_table(w, 4)
     for bits in range(16):
         g = GroupoidElement(Prefix(4, bits), w)
-        assert table[bits] == pytest.approx(spec.delta(g), rel=1e-15)
+        assert table[bits] == pytest.approx(
+            math.exp(-ising_energy_brute(0.7, g)), rel=1e-15)
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)  # needs horizon + 1
 
@@ -240,21 +232,6 @@ def test_translation_covariance():
         translation_covariance_check(IsingBoltzmann(0.5), e(3), 3)
 
 
-def test_measure_json_roundtrip():
-    spec = measure_from_json({"kind": "bernoulli", "lambda": "3/10"})
-    assert spec == Bernoulli(Fraction(3, 10))
-    assert measure_from_json(spec.to_json()) == spec
-    ising = measure_from_json({"kind": "ising", "J": 0.5})
-    assert ising == IsingBoltzmann(0.5)
-    assert measure_from_json(ising.to_json()) == ising
-    bad_j = ({"kind": "ising", "J": None}, {"kind": "ising", "J": "x"},
-             {"kind": "ising", "J": True})
-    for bad in ({}, {"kind": "nope"}, {"kind": "bernoulli"}, {"kind": "ising"}, None,
-                {"kind": "bernoulli", "lambda": "1/0"}, *bad_j):
-        with pytest.raises(InvalidSpec):
-            measure_from_json(bad)
-
-
 def test_worst_by_check_nan_first_witness_and_zero():
     rows = [
         ("a", {"zero": 0.0, "tie": 1.0, "nan": 2.0}),
@@ -279,9 +256,9 @@ def test_parse_lambda():
 
 
 def test_modular_delta_dispatch():
-    g = GroupoidElement(Prefix(2, 0b01), e(1))
-    assert Bernoulli(LAM).delta(g) == Fraction(7, 3)
-    assert IsingBoltzmann(1.0).delta(g) > 0
+    # every measure answers the same table call
+    assert Bernoulli(LAM).delta_table(e(1), 2)[0b01] == Fraction(7, 3)
+    assert IsingBoltzmann(1.0).delta_table(e(1), 2)[0b01] > 0
 
 
 @pytest.fixture
@@ -345,7 +322,7 @@ def test_bernoulli_tables_match_pointwise_oracles(lam):
     depth = 4
     weights = spec.weight_table(depth)
     for bits in range(1 << depth):
-        want = spec.cylinder_weight(Prefix(depth, bits))
+        want = bernoulli_weight(lam, Prefix(depth, bits))
         if spec.exact:
             assert weights[bits] == want
         else:
@@ -355,7 +332,7 @@ def test_bernoulli_tables_match_pointwise_oracles(lam):
         delta = spec.delta_table(w, depth)
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
-            want = spec.delta(GroupoidElement(Prefix(depth, bits), w))
+            want = bernoulli_delta(lam, GroupoidElement(Prefix(depth, bits), w))
             if spec.exact:
                 assert delta[bits] == want
                 assert inv[bits] * want == 1
@@ -383,7 +360,6 @@ def test_ising_tables_match_pointwise_oracles():
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
             g = GroupoidElement(Prefix(depth, bits), w)
-            assert delta[bits] == pytest.approx(spec.delta(g), rel=1e-14)
             assert delta[bits] == pytest.approx(
                 math.exp(-ising_energy_brute(J, g)), rel=1e-14
             )

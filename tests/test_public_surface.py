@@ -1,0 +1,79 @@
+"""Every public name of the package is used by the package itself.
+
+The package keeps one implementation per quantity, plus at most one
+independent oracle, and the oracles live in tests/.  A public module-level
+function or class, or a public method or property, whose name appears
+nowhere in src/flipchain except in its own definition and in __init__.py is
+dead surface.  It fails here unless KEEP names the caller outside src/ that
+needs it.
+
+Names are matched, not resolved: a method counts as used when an attribute
+of that name is read anywhere in the package, so a dead method that shares
+its name with a live attribute is not caught.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "flipchain"
+
+# name -> the caller outside src/ that keeps it
+KEEP = {
+    "dfs_to_cochain": "perfbench/onepass.py",
+    "is_exact": "perfbench/onepass.py; perfbench/tracer.py patches it",
+    "ising_energy_brute": "tests/test_acceptance.py, the energy oracle",
+    "ising_dfs_table": "tests/test_acceptance.py",
+    "Cochain.from_cylinder": "tests/test_acceptance.py",
+}
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _surface():
+    """(qualified name, bare name, is a method) of every public definition."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if _public(node.name):
+                yield node.name, node.name, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _public(item.name):
+                        yield f"{node.name}.{item.name}", item.name, True
+
+
+def _references():
+    """Names read as plain names, and as attributes, outside __init__.py."""
+    names, attrs = set(), set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+    return names, attrs
+
+
+def _unused():
+    names, attrs = _references()
+    return {
+        qual for qual, bare, method in _surface()
+        if bare not in attrs and (method or bare not in names)
+    }
+
+
+def test_every_public_name_is_used_in_the_package():
+    dead = sorted(_unused() - KEEP.keys())
+    assert not dead, f"public names no module in src/ uses: {dead}"
+
+
+def test_keep_names_only_what_would_fail():
+    defined = {qual for qual, _, _ in _surface()}
+    assert KEEP.keys() <= defined, sorted(KEEP.keys() - defined)
+    stale = sorted(KEEP.keys() - _unused())
+    assert not stale, f"KEEP entries the package now uses itself: {stale}"

@@ -3,7 +3,6 @@ import numpy as np
 from flipchain import (
     random_algebra_element,
     random_cylinder,
-    random_element_of,
     random_word,
     rng_for,
     trial_seed,
@@ -35,8 +34,6 @@ def test_random_word_horizon():
 
 
 def test_random_element_shapes():
-    g = random_element_of(rng_for(7, 0), 4)
-    assert g.point.depth == 4
     f = random_cylinder(rng_for(7, 1), 3)
     assert f.depth == 3 and np.iscomplexobj(f.values)
     f_real = random_cylinder(rng_for(7, 1), 3, complex_values=False)
@@ -47,7 +44,7 @@ def test_random_algebra_element_controls():
     F = random_algebra_element(rng_for(8, 0), 5, words=3, horizon=2)
     assert F.depth == 5
     assert len(F.support) == 3
-    assert F.horizon <= 2
+    assert all(w.horizon <= 2 for w in F.support)
     # horizon smaller than the word count caps the support size
     G = random_algebra_element(rng_for(8, 1), 4, words=9, horizon=1)
     assert len(G.support) <= 2

@@ -4,18 +4,12 @@ from fractions import Fraction
 import numpy as np
 
 from flipchain import (
-    AlgebraElement,
     CylinderFunction,
     dfs_build,
     dfs_check,
     dfs_from_json,
     dfs_to_json,
-    e,
-    element_from_json,
-    element_to_json,
     ising_dfs_coefficients,
-    max_abs_diff,
-    random_algebra_element,
     rng_for,
 )
 from flipchain.cli import render_csv, render_json
@@ -24,31 +18,6 @@ from flipchain.cli import render_csv, render_json
 def roundtrip(doc):
     # push through actual JSON text so only serializable types survive
     return json.loads(json.dumps(doc))
-
-
-def test_element_roundtrip_float():
-    F = random_algebra_element(rng_for(61, 0), 3)
-    back = element_from_json(roundtrip(element_to_json(F)))
-    assert back.depth == F.depth
-    assert back.support == F.support
-    for w in F.support:
-        # floats survive bit-exactly
-        assert np.array_equal(back.term(w).values, F.term(w).values)
-
-
-def test_element_roundtrip_exact():
-    F = AlgebraElement(
-        {e(1): CylinderFunction(1, np.array([Fraction(2, 3), Fraction(-7, 5)], dtype=object))}
-    )
-    back = element_from_json(roundtrip(element_to_json(F)))
-    assert back.term(e(1)).values[0] == Fraction(2, 3)
-    assert back.term(e(1)).values[1] == Fraction(-7, 5)
-    assert back.term(e(1)).exact
-
-
-def test_element_roundtrip_empty():
-    F = AlgebraElement({})
-    assert element_from_json(roundtrip(element_to_json(F))).support == []
 
 
 def test_dfs_roundtrip_float():
