@@ -5,8 +5,6 @@
 # reweights by 1/Delta, and the polar pieces J and Delta^{1/2} recover the
 # involution exactly.
 
-import numpy as np
-
 from flipchain import (
     AlgebraElement,
     Bernoulli,

@@ -9,13 +9,10 @@ negative control at the end.
 
 import math
 
-import numpy as np
-
 from flipchain import (
     IsingBoltzmann,
     NonCocyclePerturbation,
     attained_spectrum,
-    convolve,
     heisenberg_equivalence_check,
     max_abs_diff,
     modular_spectrum_points,

@@ -15,6 +15,15 @@ canonical weight (the vector state of the unit) are all pointwise in this
 representation, which is what makes every identity checkable by table
 comparison.
 
+In memory an element is a ragged batch of independent trials: rows of
+(trial, word mask, table), sorted by (trial, word), every table at the one
+depth of the batch.  A lone element (built from a dict, as most callers do)
+is a batch of one trial whose scalar results come back as scalars; a batch
+stacked with ``AlgebraElement.batch`` gets a list with one result per trial.
+Every kernel combines rows of the same trial only, with the operations, and
+in the order, of the one-trial definition, so a trial gives the same bits
+alone or in any batch.
+
 Binary operations lift both operands to a common depth first; padding
 invariance of cylinder tables guarantees this changes nothing.  All values
 are immutable after construction and all operations are pure.
@@ -23,67 +32,145 @@ are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
-from .groupoid import EMPTY_WORD, FlipWord, check_depth
+from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
 from .measures import (
     CylinderFunction,
     MeasureSpec,
     _index,
+    _integrate_rows,
     _max_abs,
-    _worse,
     integrate,
 )
 
+# Convolutions whose operands hold at most this many rows between them (the
+# product of the row counts) loop over the row pairs; larger ones gather all
+# pairs of a rank at once.  The loop wins for the one- to few-word lone
+# elements of the matrix bridge and the phase flow, the gather for batches.
+LOOP_PAIRS = 32
+
+# Kernels form their temporary tables in blocks of rows holding at most this
+# many entries (at least one row), so a large depth or batch costs no more
+# than a few such blocks of working memory at a time.
+BLOCK_ENTRIES = 1 << 13
+
+# Row keys are trial << DEPTH_CAP | word mask: no word reaches past the cap.
+_WORD_BITS = (1 << DEPTH_CAP) - 1
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.flags.writeable = False
+
 
 class AlgebraElement:
-    """Finitely-supported map from flip words to cylinder functions.
+    """Rows (trial, word, table) of one or more trials, sorted by (trial, word).
 
-    All stored tables share one depth, at least the largest word horizon;
-    identically-zero tables are dropped (canonical form).
+    All tables share one depth, at least the largest word horizon;
+    identically-zero tables are dropped (canonical form).  ``trials`` is the
+    batch size, or None for a lone element.
     """
 
-    __slots__ = ("depth", "terms")
+    __slots__ = ("depth", "trials", "trial", "word", "values", "_terms")
 
     def __init__(self, terms: dict, depth: int | None = None):
         d = depth or 0
         for w, f in terms.items():
             d = max(d, w.horizon, f.depth)
         check_depth(d)
-        kept = {}
-        for w, f in terms.items():
-            g = f.lift(d)
-            if g.values.any():
-                kept[w] = g
-        self.depth = d
-        self.terms = kept
+        rows = {(0, w.mask): f.lift(d).values for w, f in terms.items()}
+        self._set(d, None, *_sorted_rows(rows, d))
+
+    def _set(self, depth, trials, values, trial, word, nonzero=False):
+        """Store sorted rows, dropping the all-zero tables unless they are
+        known to be nonzero; NaN counts as nonzero."""
+        # most tables have no zero entry at all, which is the cheaper test
+        if not nonzero and np.count_nonzero(values) < values.size:
+            keep = values.any(axis=1)
+            trial, word, values = trial[keep], word[keep], values[keep]
+        self.depth = depth
+        self.trials = trials
+        self.trial = trial
+        self.word = word
+        self.values = values
+        self._terms = None
+
+    def _with(self, depth, values, trial=None, word=None, nonzero=False):
+        """An element of this one's batch size: the same rows, or the given
+        sorted ones, holding new tables."""
+        out = object.__new__(AlgebraElement)
+        out._set(depth, self.trials, values, self.trial if trial is None else trial,
+                 self.word if word is None else word, nonzero)
+        return out
+
+    @classmethod
+    def batch(cls, elements) -> "AlgebraElement":
+        """The batch whose trial i is the lone element elements[i]."""
+        d = max(F.depth for F in elements)
+        lifted = [F.lift(d) for F in elements]
+        out = object.__new__(cls)
+        out._set(
+            d, len(lifted),
+            np.concatenate([F.values for F in lifted]),
+            np.repeat(np.arange(len(lifted)), [len(F.word) for F in lifted]),
+            np.concatenate([F.word for F in lifted]),
+            nonzero=True,
+        )
+        return out
 
     @property
-    def support(self) -> list[FlipWord]:
-        return sorted(self.terms)
+    def _count(self) -> int:
+        return self.trials or 1
+
+    def _per_trial(self, results: list):
+        """One result per trial for a batch; the only one for a lone element."""
+        return results if self.trials is not None else results[0]
+
+    def _keys(self) -> list:
+        """(trial, word mask) of every row, in row order."""
+        return list(zip(self.trial.tolist(), self.word.tolist()))
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only view of the rows: word -> table for a lone element,
+        (trial, word) -> table for a batch."""
+        if self._terms is None:
+            words = map(FlipWord, self.word.tolist())
+            keys = words if self.trials is None else zip(self.trial.tolist(), words)
+            self._terms = MappingProxyType({
+                key: CylinderFunction(self.depth, row)
+                for key, row in zip(keys, self.values)
+            })
+        return self._terms
+
+    @property
+    def support(self) -> list:
+        return list(self.terms)
 
     def term(self, w: FlipWord) -> CylinderFunction:
         """The cylinder function at a word; zeros when the word is absent."""
-        if w in self.terms:
-            return self.terms[w]
-        return CylinderFunction.zero(self.depth)
+        return self.terms.get(w) or CylinderFunction.zero(self.depth)
 
     def lift(self, depth: int) -> "AlgebraElement":
         if depth <= self.depth:
             return self
-        return AlgebraElement(
-            {w: f.lift(depth) for w, f in self.terms.items()}, depth
-        )
+        check_depth(depth)
+        return self._with(depth, np.tile(self.values, (1, 1 << (depth - self.depth))),
+                          nonzero=True)
 
     def _merge(self, other, sign):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
+        _same_batch(self, other)
         d = max(self.depth, other.depth)
-        out = {w: f.lift(d) for w, f in self.terms.items()}
-        for w, f in other.terms.items():
-            out[w] = out[w] + sign * f if w in out else sign * f
-        return AlgebraElement(out, d)
+        F, G = self.lift(d), other.lift(d)
+        if not len(F.word):
+            return G._with(d, sign * G.values)
+        rows = dict(zip(F._keys(), F.values))
+        for key, g in zip(G._keys(), sign * G.values):
+            rows[key] = rows[key] + g if key in rows else g
+        return self._with(d, *_sorted_rows(rows, d))
 
     def __add__(self, other):
         return self._merge(other, 1)
@@ -92,9 +179,7 @@ class AlgebraElement:
         return self._merge(other, -1)
 
     def __mul__(self, scalar):
-        return AlgebraElement(
-            {w: scalar * f for w, f in self.terms.items()}, self.depth
-        )
+        return self._with(self.depth, scalar * self.values)
 
     __rmul__ = __mul__
 
@@ -102,64 +187,222 @@ class AlgebraElement:
         return self * -1
 
     def __repr__(self):
+        if self.trials is not None:
+            return (f"AlgebraElement(depth={self.depth}, trials={self.trials}, "
+                    f"rows={len(self.word)})")
         words = ", ".join(repr(w) for w in self.support)
         return f"AlgebraElement(depth={self.depth}, support=[{words}])"
 
 
-def unit(depth: int = 0) -> AlgebraElement:
-    """The convolution unit: value 1 on the empty word."""
-    return AlgebraElement({EMPTY_WORD: CylinderFunction.constant(1.0, depth)})
+def _same_batch(F: AlgebraElement, G: AlgebraElement) -> None:
+    if F.trials != G.trials:
+        raise ValueError(f"operands hold {F.trials} and {G.trials} trials")
 
 
-def max_abs_diff(F: AlgebraElement, G: AlgebraElement) -> float:
-    """Largest pointwise deviation |F - G| over all words and prefixes; NaN if any is."""
-    d = max(F.depth, G.depth)
-    F, G = F.lift(d), G.lift(d)
-    out = 0.0
-    for w in sorted(set(F.terms) | set(G.terms)):
-        out = _worse(out, _max_abs(F.term(w).values - G.term(w).values))
+def _sorted_rows(rows: dict, depth: int):
+    """(tables, trials, words) of a {(trial, word): table} dict, in key order."""
+    if not rows:
+        return np.zeros((0, 1 << depth)), _NO_ROWS, _NO_ROWS
+    keys = sorted(rows)
+    return (np.array([rows[k] for k in keys]),
+            np.array([t for t, _ in keys], dtype=np.int64),
+            np.array([w for _, w in keys], dtype=np.int64))
+
+
+def _match(F: AlgebraElement, G: AlgebraElement):
+    """Row indices of the keys both hold (in F's and in G's rows, in key
+    order), then of the keys only F holds and only G holds."""
+    only_g = {key: j for j, key in enumerate(G._keys())}
+    both_f, both_g, only_f = [], [], []
+    for i, key in enumerate(F._keys()):
+        j = only_g.pop(key, None)
+        if j is None:
+            only_f.append(i)
+        else:
+            both_f.append(i)
+            both_g.append(j)
+    return both_f, both_g, only_f, list(only_g.values())
+
+
+def _take(F: AlgebraElement, rows: list, b: slice) -> np.ndarray:
+    """The tables of the ascending row indices rows[b]; a view when rows are all of F's."""
+    return F.values[b] if len(rows) == len(F.word) else F.values[rows[b]]
+
+
+def _blocks(rows: int, depth: int) -> list:
+    """Slices cutting rows of 2**depth entries into blocks of BLOCK_ENTRIES."""
+    step = max(1, BLOCK_ENTRIES >> depth)
+    return [slice(k, k + step) for k in range(0, rows, step)] or [slice(0, 0)]
+
+
+def _blockwise(F: AlgebraElement, table) -> np.ndarray:
+    """The tables table(b) of F's row blocks b, stacked into one array."""
+    out = None
+    for b in _blocks(len(F.word), F.depth):
+        part = table(b)
+        if out is None:
+            out = np.empty((len(F.word), part.shape[1]), dtype=part.dtype)
+        out[b] = part
     return out
 
 
-def convolve(F: AlgebraElement, G: AlgebraElement) -> AlgebraElement:
-    """Groupoid convolution of two elements.
+def _flipped(F: AlgebraElement, values: np.ndarray, b: slice) -> np.ndarray:
+    """Rows b of values, row r read at x ^ (word of row r): F(x ^ w, w)."""
+    rows = values[b]
+    size = rows.shape[1]
+    flat = (np.arange(len(rows)) * size)[:, None] + (_index(F.depth) ^ F.word[b, None])
+    return rows.ravel().take(flat)
 
-    The support of the result is contained in the pairwise XOR of the operand
-    supports.  Accumulation order is fixed (ascending word masks) so results
-    are bit-for-bit reproducible.
-    """
+
+def _per_word(F: AlgebraElement, table):
+    """The tables table(word) of the rows of a block, one build per word."""
+    words = F.word.tolist()
+    built = {}
+
+    def rows(b: slice) -> np.ndarray:
+        out = []
+        for w in words[b]:
+            if w not in built:
+                built[w] = table(FlipWord(w))
+            out.append(built[w])
+        return np.array(out) if out else np.zeros((0, 1 << F.depth))
+
+    return rows
+
+
+def _trial_sums(F: AlgebraElement, table) -> np.ndarray:
+    """Per-trial sums of the block tables table(b), added in word order onto zeros."""
+    out = np.zeros((F._count, 1 << F.depth))
+    trials = F.trial.tolist()
+    for b in _blocks(len(trials), F.depth):
+        for t, row in zip(trials[b], table(b)):
+            out[t] += row
+    return out
+
+
+def _row_max_abs(rows: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of every row; NaN where any entry is NaN."""
+    if rows.dtype == object:
+        return np.array([_max_abs(row) for row in rows], dtype=np.float64)
+    if np.iscomplexobj(rows):
+        return np.abs(rows).max(axis=1)
+    # the two extremes give the same value without an |rows| copy
+    return np.maximum(np.abs(rows.max(axis=1)), np.abs(rows.min(axis=1)))
+
+
+def unit(depth: int = 0) -> AlgebraElement:
+    """The convolution unit: value 1 on the empty word."""
+    check_depth(depth)
+    one = object.__new__(AlgebraElement)
+    one._set(depth, None, np.ones((1, 1 << depth)), np.zeros(1, dtype=np.int64),
+             np.zeros(1, dtype=np.int64), nonzero=True)
+    return one
+
+
+def max_abs_diff(F: AlgebraElement, G: AlgebraElement):
+    """Largest pointwise deviation |F - G| over all words and prefixes; NaN if any is."""
+    _same_batch(F, G)
     d = max(F.depth, G.depth)
     F, G = F.lift(d), G.lift(d)
+    both_f, both_g, only_f, only_g = _match(F, G)
+    worst = np.zeros(F._count)
+    # |x - 0| = |x|: a word in one operand only deviates by its own table
+    for trial, rows in ((F.trial[both_f], lambda b: _take(F, both_f, b) - _take(G, both_g, b)),
+                        (F.trial[only_f], lambda b: _take(F, only_f, b)),
+                        (G.trial[only_g], lambda b: _take(G, only_g, b))):
+        for b in _blocks(len(trial), d) if len(trial) else ():
+            with np.errstate(invalid="ignore"):  # NaN is a result, not an error
+                np.maximum.at(worst, trial[b], _row_max_abs(rows(b)))
+    return F._per_trial(worst.tolist())
+
+
+def _pairs(F: AlgebraElement, G: AlgebraElement):
+    """Row indices (i, j) of every F row and G row of one trial, ordered by
+    trial, then F word, then G word."""
+    starts = np.searchsorted(G.trial, np.arange(G._count + 1))
+    counts = np.diff(starts)[F.trial]
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    i = np.repeat(np.arange(len(F.word)), counts)
+    j = np.arange(len(i)) - first + np.repeat(starts[F.trial], counts)
+    return i, j
+
+
+def convolve(F: AlgebraElement, G: AlgebraElement) -> AlgebraElement:
+    """Groupoid convolution of two elements, trial by trial.
+
+    The support of the result is contained in the pairwise XOR of the operand
+    supports.  Each output table is the product of its pair with the least F
+    word, plus the further products in ascending F-word order, so results
+    are bit-for-bit reproducible.
+    """
+    _same_batch(F, G)
+    d = max(F.depth, G.depth)
+    F, G = F.lift(d), G.lift(d)
+    if len(F.word) * len(G.word) <= LOOP_PAIRS:
+        return _convolve_pairs(F, G, d)
+    i, j = _pairs(F, G)
+    if not len(i):  # no trial has rows in both
+        return F._with(d, np.zeros((0, 1 << d)), _NO_ROWS, _NO_ROWS)
+    key = F.trial[i] << DEPTH_CAP | (F.word[i] ^ G.word[j])
+    order = np.argsort(key, kind="stable")  # keeps ascending F words per output
+    i, j, key = i[order], j[order], key[order]
+    starts = np.empty(len(key), dtype=bool)
+    starts[0] = True
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    head = np.flatnonzero(starts)
+    group = np.cumsum(starts) - 1
+    rank = np.arange(len(key)) - head[group]
+    # rank by rank, block by block: the product of every output's rank-r pair
+    size, idx, flat_g = 1 << d, _index(d), G.values.ravel()
+    out = np.empty((len(head), size), dtype=np.result_type(F.values, G.values))
+    for r in range(int(rank.max()) + 1):
+        at = np.flatnonzero(rank == r)
+        for b in _blocks(len(at), d):
+            fi, gj = i[at[b]], j[at[b]]
+            gathered = flat_g.take((gj * size)[:, None] + (idx ^ F.word[fi][:, None]))
+            if r == 0:  # the heads, which are the outputs in order
+                np.multiply(F.values[fi], gathered, out=out[b])
+            else:
+                out[group[at[b]]] += F.values[fi] * gathered
+    key = key[head]
+    return F._with(d, out, key >> DEPTH_CAP, key & _WORD_BITS)
+
+
+def _convolve_pairs(F: AlgebraElement, G: AlgebraElement, d: int) -> AlgebraElement:
+    """convolve for few rows: one loop over the row pairs of each trial."""
     idx = _index(d)
-    acc: dict[FlipWord, np.ndarray] = {}
-    for wf in sorted(F.terms):
-        tf = F.terms[wf].values
-        for wg in sorted(G.terms):
-            contrib = tf * G.terms[wg].values[idx ^ wf.mask]
-            w = wf ^ wg
-            acc[w] = acc[w] + contrib if w in acc else contrib
-    return AlgebraElement(
-        {w: CylinderFunction(d, v) for w, v in acc.items()}, d
-    )
+    acc = {}
+    g_rows = list(zip(G._keys(), G.values))
+    for (t, wf), tf in zip(F._keys(), F.values):
+        for (s, wg), tg in g_rows:
+            if s == t:
+                contrib = tf * tg[idx ^ wf]
+                key = (t, wf ^ wg)
+                if key in acc:
+                    acc[key] += contrib
+                else:
+                    acc[key] = contrib
+    return F._with(d, *_sorted_rows(acc, d))
 
 
 def _delta_depth(F: AlgebraElement, spec: MeasureSpec) -> int:
     d = F.depth
-    for w in F.terms:
-        d = max(d, spec.min_delta_depth(w))
+    for w in set(F.word.tolist()):
+        d = max(d, spec.min_delta_depth(FlipWord(w)))
     return d
+
+
+def _as_float(table: np.ndarray) -> np.ndarray:
+    return table.astype(np.float64) if table.dtype == object else table
 
 
 def involution(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """The adjoint F+(x, w) = delta((x, w))**-1 conj(F(x ^ w, w))."""
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = _index(d)
-    out = {}
-    for w, f in F.terms.items():
-        dinv = spec.delta_inv_table(w, d)
-        out[w] = CylinderFunction(d, dinv * np.conjugate(f.values[idx ^ w.mask]))
-    return AlgebraElement(out, d)
+    dinv = _per_word(F, lambda w: spec.delta_inv_table(w, d))
+    return F._with(d, _blockwise(
+        F, lambda b: dinv(b) * np.conjugate(_flipped(F, F.values, b))))
 
 
 def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
@@ -170,14 +413,9 @@ def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = _index(d)
-    out = {}
-    for w, f in F.terms.items():
-        droot = spec.delta_inv_table(w, d) ** 0.5
-        if droot.dtype == object:
-            droot = droot.astype(np.float64)
-        out[w] = CylinderFunction(d, droot * np.conjugate(f.values[idx ^ w.mask]))
-    return AlgebraElement(out, d)
+    droot = _per_word(F, lambda w: _as_float(spec.delta_inv_table(w, d) ** 0.5))
+    return F._with(d, _blockwise(
+        F, lambda b: droot(b) * np.conjugate(_flipped(F, F.values, b))))
 
 
 def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElement:
@@ -188,39 +426,53 @@ def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElem
     """
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    out = {}
-    for w, f in F.terms.items():
+
+    def power(w):
         delta = spec.delta_table(w, d)
         if delta.dtype == object:
-            power = delta ** t if isinstance(t, int) else delta.astype(float) ** t
-        elif isinstance(t, complex):
-            power = np.exp(t * np.log(delta))
-        else:
-            power = delta ** t
-        out[w] = CylinderFunction(d, power * f.values)
-    return AlgebraElement(out, d)
+            return delta ** t if isinstance(t, int) else delta.astype(float) ** t
+        if isinstance(t, complex):
+            return np.exp(t * np.log(delta))
+        return delta ** t
+
+    powers = _per_word(F, power)
+    return F._with(d, _blockwise(F, lambda b: powers(b) * F.values[b]))
+
+
+def _trial_totals(F: AlgebraElement, trial: list, values: list) -> list:
+    """Per-trial sums of row values, added in row order onto 0."""
+    totals = [0] * F._count
+    for t, value in zip(trial, values):
+        totals[t] += value
+    return totals
 
 
 def inner_product(F: AlgebraElement, G: AlgebraElement, spec: MeasureSpec):
     """<F, G> = sum_w integral of conj(F_w) G_w, conjugate-linear in F."""
+    _same_batch(F, G)
     d = max(F.depth, G.depth)
     F, G = F.lift(d), G.lift(d)
-    total = 0
-    for w in sorted(set(F.terms) | set(G.terms)):
-        if w in F.terms and w in G.terms:
-            total += integrate(spec, F.terms[w].conj() * G.terms[w])
-    return total
+    both_f, both_g, _, _ = _match(F, G)
+    integrals = []
+    for b in _blocks(len(both_f), d):
+        integrals += _integrate_rows(
+            spec, d, np.conjugate(_take(F, both_f, b)) * _take(G, both_g, b))
+    return F._per_trial(_trial_totals(F, F.trial[both_f].tolist(), integrals))
 
 
-def l2_norm(F: AlgebraElement, spec: MeasureSpec) -> float:
+def l2_norm(F: AlgebraElement, spec: MeasureSpec):
     """Hilbert-space norm: sqrt(sum_w integral |F_w|**2)."""
-    sq = inner_product(F, F, spec)
-    if isinstance(sq, complex):
-        sq = sq.real
-    return math.sqrt(float(sq))
+    squares = []
+    for b in _blocks(len(F.word), F.depth):
+        rows = F.values[b]
+        squares += _integrate_rows(spec, F.depth, np.conjugate(rows) * rows, real=True)
+    return F._per_trial([
+        math.sqrt(float(sq.real if isinstance(sq, complex) else sq))
+        for sq in _trial_totals(F, F.trial.tolist(), squares)
+    ])
 
 
-def hahn_norm(F: AlgebraElement, spec: MeasureSpec) -> float:
+def hahn_norm(F: AlgebraElement, spec: MeasureSpec):
     """Max of the target-fibre and source-fibre L1 sums.
 
     Branch (a) is sup_x sum_w |F(x, w)|; branch (b) weights the inverse
@@ -228,37 +480,32 @@ def hahn_norm(F: AlgebraElement, spec: MeasureSpec) -> float:
     """
     d = _delta_depth(F, spec)
     F = F.lift(d)
-    idx = _index(d)
-    size = 1 << d
-    branch_t = np.zeros(size)
-    branch_s = np.zeros(size)
-    for w in sorted(F.terms):
-        vals = F.terms[w].values
-        absv = np.abs(vals)
-        if absv.dtype == object:
-            absv = absv.astype(np.float64)
-        branch_t = branch_t + absv
-        dinv = spec.delta_inv_table(w, d)
-        if dinv.dtype == object:
-            dinv = dinv.astype(np.float64)
-        branch_s = branch_s + dinv * absv[idx ^ w.mask]
-    if not F.terms:
-        return 0.0
-    return float(np.maximum(branch_t.max(), branch_s.max()))
+    dinv = _per_word(F, lambda w: _as_float(spec.delta_inv_table(w, d)))
+
+    def absolute(rows):
+        return _as_float(np.abs(rows))
+
+    branch_t = _trial_sums(F, lambda b: absolute(F.values[b]))
+    branch_s = _trial_sums(F, lambda b: dinv(b) * absolute(_flipped(F, F.values, b)))
+    # a trial without rows sums to zeros, whose max is the 0.0 it is owed
+    return F._per_trial(np.maximum(branch_t.max(axis=1), branch_s.max(axis=1)).tolist())
 
 
-def pukanszky_V(w: FlipWord, spec: MeasureSpec) -> AlgebraElement:
+def pukanszky_V(w, spec: MeasureSpec) -> AlgebraElement:
     """The measure-weighted flip unitary: value delta((x, w))**-1/2 at word w.
 
     Self-adjoint and unitary: V+ = V and V * V = unit.  The square root is
     irrational in general, so the table is floating point even for exact
-    measures.
+    measures.  A sequence of words gives the batch with one unitary per trial.
     """
-    d = max(spec.min_delta_depth(w), w.horizon)
-    droot = spec.delta_inv_table(w, d) ** 0.5
-    if droot.dtype == object:
-        droot = droot.astype(np.float64)
-    return AlgebraElement({w: CylinderFunction(d, droot)})
+    words = [w] if isinstance(w, FlipWord) else list(w)
+    d = max(max(spec.min_delta_depth(u), u.horizon) for u in words)
+    roots = {u: _as_float(spec.delta_inv_table(u, d) ** 0.5) for u in set(words)}
+    V = object.__new__(AlgebraElement)
+    V._set(d, None if isinstance(w, FlipWord) else len(words),
+           np.array([roots[u] for u in words]), np.arange(len(words)),
+           np.array([u.mask for u in words], dtype=np.int64))
+    return V
 
 
 def pukanszky_L(phi: CylinderFunction) -> AlgebraElement:
@@ -276,6 +523,8 @@ def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
     Equals the vector state <unit, F * unit> of the cyclic vector; it is a
     trace exactly when the measure is flip-invariant (Bernoulli lambda = 1/2).
     """
-    if EMPTY_WORD not in F.terms:
-        return 0 if spec.exact else 0.0
-    return integrate(spec, F.terms[EMPTY_WORD])
+    weights = [0 if spec.exact else 0.0] * F._count
+    for t, w, row in zip(F.trial.tolist(), F.word.tolist(), F.values):
+        if w == EMPTY_WORD.mask:
+            weights[t] = integrate(spec, CylinderFunction(F.depth, row))
+    return F._per_trial(weights)

@@ -247,18 +247,44 @@ def cmd_haar(cfg: RunConfig):
     return report, failure
 
 
+# Randomized subcommands check their trials in chunks of at most this many
+# table entries (trials times 2**depth, at least one trial), each chunk one
+# batch per drawn element.  Trial i still draws from rng_for(seed, i), and the
+# reports do not depend on the chunk size: it trades Python overhead against
+# the size of the working set.
+CHUNK_ENTRIES = 1 << 9
+
+
+def _chunks(cfg: RunConfig):
+    size = max(1, CHUNK_ENTRIES >> cfg.depth)
+    for start in range(0, cfg.trials, size):
+        yield range(start, min(start + size, cfg.trials))
+
+
+def _batches(draws):
+    """One batch per position of the per-trial tuples of lone elements."""
+    return [AlgebraElement.batch(column) for column in zip(*draws)]
+
+
 def cmd_algebra(cfg: RunConfig):
     spec = cfg.spec()
 
-    def trial(i):
+    def draw(i):
         rng = rng_for(cfg.seed, i)
         F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         H = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         psi = random_algebra_element(rng, cfg.depth, 2, horizon=cfg.n)
-        V = pukanszky_V(random_word(rng, cfg.n) or e(1), spec)
+        return (F, G, H, psi), random_word(rng, cfg.n) or e(1)
+
+    def chunk(trials):
+        elements, words = zip(*map(draw, trials))
+        F, G, H, psi = _batches(elements)
+        del elements  # copied into the batches
+        V = pukanszky_V(words, spec)
+        one = AlgebraElement.batch([unit()] * len(trials))
         # the key order is the order failures are reported in
-        return i, {
+        checks = {
             "associativity": max_abs_diff(
                 convolve(convolve(F, G), H), convolve(F, convolve(G, H))
             ),
@@ -273,17 +299,21 @@ def cmd_algebra(cfg: RunConfig):
                 involution(F, spec),
                 modular_conjugation(modular_operator_pow(F, 0.5, spec), spec),
             ),
-            "flip_unitary": _worse(
-                max_abs_diff(convolve(V, V), unit()),
+            "flip_unitary": list(map(
+                _worse,
+                max_abs_diff(convolve(V, V), one),
                 max_abs_diff(involution(V, spec), V),
-            ),
-            "bound_violation": _worse(
-                0.0,
-                l2_norm(convolve(F, psi), spec) - hahn_norm(F, spec) * l2_norm(psi, spec),
-            ),
+            )),
+            "bound_violation": [
+                _worse(0.0, fpsi - hahn * norm)
+                for fpsi, hahn, norm in zip(l2_norm(convolve(F, psi), spec),
+                                            hahn_norm(F, spec), l2_norm(psi, spec))
+            ],
         }
+        return [(i, dict(zip(checks, devs))) for i, devs in zip(trials, zip(*checks.values()))]
 
-    devs, witness = worst_by_check(map(trial, range(cfg.trials)))
+    devs, witness = worst_by_check(
+        row for trials in _chunks(cfg) for row in chunk(trials))
     report = {
         "measure": spec.to_json(),
         "n": cfg.n,
@@ -339,19 +369,23 @@ def cmd_trace(cfg: RunConfig):
     rows = []
     failure = None
 
-    def commutator(i, spec):
+    def draw(i):
         rng = rng_for(cfg.seed, i)
         F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
         G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        return abs(
-            complex(canonical_weight(convolve(F, G), spec))
-            - complex(canonical_weight(convolve(G, F), spec))
-        )
+        return F, G
+
+    def commutators(trials, spec):
+        F, G = _batches(map(draw, trials))
+        forward = canonical_weight(convolve(F, G), spec)
+        backward = canonical_weight(convolve(G, F), spec)
+        return [abs(complex(f) - complex(b)) for f, b in zip(forward, backward)]
 
     for lam in lams:
         spec = Bernoulli(lam)
         if float(lam) == 0.5:
-            worst = reduce(_worse, (commutator(i, spec) for i in range(cfg.trials)), 0.0)
+            worst = reduce(_worse, (dev for trials in _chunks(cfg)
+                                    for dev in commutators(trials, spec)), 0.0)
             row = {
                 "lambda": float(lam),
                 "mode": "tracial",

@@ -299,10 +299,13 @@ def dfs_from_json(doc: dict) -> DfsTable:
     check_depth(n)
     if not isinstance(records, list):
         raise InvalidSpec(f"table records must form a list, got {records!r}")
-    entries, depth = {}, 0
+    entries, table_depth = {}, 0
     for i, rec in enumerate(records):
         if not (isinstance(rec, dict) and {"flips", "depth", "values"} <= rec.keys()):
             raise InvalidSpec(f"table entry {i} needs 'flips', 'depth' and 'values'")
+        depth = rec["depth"]
+        if isinstance(depth, bool) or not isinstance(depth, int):
+            raise InvalidSpec(f"table entry {i}: depth must be an integer, got {depth!r}")
         try:
             w = FlipWord.from_sites(rec["flips"])
             raw = rec["values"]
@@ -311,12 +314,12 @@ def dfs_from_json(doc: dict) -> DfsTable:
             else:
                 values = np.array([float(v) for v in raw])
             # CylinderFunction rejects a value count other than 2**depth
-            entries[w] = CylinderFunction(int(rec["depth"]), values)
+            entries[w] = CylinderFunction(depth, values)
         except (TypeError, ValueError, LookupError) as err:
             raise InvalidSpec(f"table entry {i}: {err}") from err
         if w.mask >> n:
             raise InvalidSpec(f"table entry {i}: word {w!r} exceeds horizon {n}")
-        depth = max(depth, entries[w].depth)
-    if depth < n:
-        raise InvalidSpec(f"horizon {n} needs depth >= {n}, got {depth}")
-    return DfsTable(n, entries, depth)
+        table_depth = max(table_depth, depth)
+    if table_depth < n:
+        raise InvalidSpec(f"horizon {n} needs depth >= {n}, got {table_depth}")
+    return DfsTable(n, entries, table_depth)

@@ -22,6 +22,7 @@ Bit conventions, used consistently everywhere:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from time import perf_counter
 
 from .errors import DepthMismatch, DepthTooSmall, HorizonOverflow, NotComposable
@@ -51,6 +52,8 @@ class FlipWord:
         """Build a word from an iterable of distinct 1-based site indices."""
         mask = 0
         for s in sites:
+            if isinstance(s, bool) or not isinstance(s, Integral):
+                raise ValueError(f"site indices are integers, got {s!r}")
             if s < 1:
                 raise ValueError(f"site indices are 1-based, got {s}")
             bit = 1 << (s - 1)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
-from .algebra import _delta_depth  # the one depth rule of the modular maps
+# the one depth rule of the modular maps, and their per-word tables
+from .algebra import _blockwise, _delta_depth, _per_word
 from .dfs import DfsTable
 from .errors import DegenerateSpectrum, DepthTooSmall, InvalidSpec
 from .groupoid import FlipWord, GroupoidElement
@@ -123,12 +124,10 @@ def tt_evolve(F: AlgebraElement, t, energy) -> AlgebraElement:
     """
     d = _delta_depth(F, energy)
     F = F.lift(d)
-    out = {}
-    for w, f in F.terms.items():
-        phase = np.exp(1j * t * np.asarray(energy.energy_table(w, d), dtype=np.float64))
-        vals = f.values.astype(np.complex128) if f.values.dtype == object else f.values
-        out[w] = CylinderFunction(d, phase * vals)
-    return AlgebraElement(out, d)
+    phases = _per_word(F, lambda w: np.exp(
+        1j * t * np.asarray(energy.energy_table(w, d), dtype=np.float64)))
+    values = F.values.astype(np.complex128) if F.values.dtype == object else F.values
+    return F._with(d, _blockwise(F, lambda b: phases(b) * values[b]))
 
 
 def heisenberg_equivalence_check(

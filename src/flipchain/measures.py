@@ -171,9 +171,6 @@ class CylinderFunction:
         check_depth(depth)
         return CylinderFunction(depth, np.tile(self.values, 1 << (depth - self.depth)))
 
-    def conj(self) -> "CylinderFunction":
-        return CylinderFunction(self.depth, np.conjugate(self.values))
-
     def _binary(self, other, op):
         if isinstance(other, CylinderFunction):
             d = max(self.depth, other.depth)
@@ -410,16 +407,31 @@ def integrate(spec: MeasureSpec, f: CylinderFunction):
     inputs are accumulated with compensated summation, so the result does not
     depend on any chunking of the table.
     """
-    weights = spec.weight_table(f.depth)
-    if f.exact or weights.dtype == object:
-        total = 0
-        for v, w in zip(f.values.tolist(), weights.tolist()):
-            total += v * w
-        return total
-    prod = f.values * weights
-    if np.iscomplexobj(prod):
-        return complex(math.fsum(prod.real), math.fsum(prod.imag))
-    return math.fsum(prod)
+    return _integrate_rows(spec, f.depth, f.values[None, :])[0]
+
+
+def _integrate_rows(spec: MeasureSpec, depth: int, rows: np.ndarray,
+                    real: bool = False) -> list:
+    """The integral of every row of a (rows, 2**depth) table, as integrate
+    gives it; with real=True float tables give only the real parts."""
+    weights = spec.weight_table(depth)
+    if rows.dtype == object or weights.dtype == object:
+        weights = weights.tolist()
+        out = []
+        for row in rows.tolist():
+            total = 0
+            for v, w in zip(row, weights):
+                total += v * w
+            out.append(total)
+        return out
+    prod = rows * weights
+    # one row of Python floats at a time: fsum reads lists fastest
+    if not np.iscomplexobj(prod):
+        return [math.fsum(row.tolist()) for row in prod]
+    if real:
+        return [math.fsum(row.tolist()) for row in prod.real]
+    return [complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
+            for re, im in zip(prod.real, prod.imag)]
 
 
 def partition_function_brute(J: float, n: int) -> float:

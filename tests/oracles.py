@@ -2,12 +2,17 @@
 
 Each one recomputes a quantity site by site, sharing no table with the
 package: the Bernoulli cylinder weight and modular function of one prefix,
-and a Pauli word as the Kronecker product of its one-site matrices.
+and a Pauli word as the Kronecker product of its one-site matrices.  The
+convolution algebra's kernels get their one-trial, word-by-word definitions
+below.
 """
 
+import math
 from functools import reduce
 
 import numpy as np
+
+from flipchain import EMPTY_WORD, AlgebraElement, CylinderFunction
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -38,3 +43,155 @@ def kron_oracle(w, n: int) -> np.ndarray:
     factor = {1: SIGMA1, 3: SIGMA3}
     return reduce(np.kron, [factor.get(letters.get(k), ID2) for k in range(1, n + 1)],
                   np.eye(1))
+
+
+# The convolution algebra one trial and one word pair at a time, the
+# definitions the batched kernels must reproduce bit for bit.  Each takes and
+# returns lone elements, reads them through the `terms` view and builds
+# results with the dict constructor.
+
+def _max_abs(arr) -> float:
+    """Largest absolute entry; NaN if any entry is NaN."""
+    if arr.dtype == object:
+        return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
+    return float(np.max(np.abs(arr)))
+
+
+def _worse(worst: float, dev: float) -> float:
+    return worst if math.isnan(worst) or dev <= worst else dev
+
+
+def integrate(spec, f):
+    weights = spec.weight_table(f.depth)
+    if f.values.dtype == object or weights.dtype == object:
+        total = 0
+        for v, w in zip(f.values.tolist(), weights.tolist()):
+            total += v * w
+        return total
+    prod = f.values * weights
+    if np.iscomplexobj(prod):
+        return complex(math.fsum(prod.real), math.fsum(prod.imag))
+    return math.fsum(prod)
+
+
+def max_abs_diff(F, G) -> float:
+    d = max(F.depth, G.depth)
+    F, G = F.lift(d), G.lift(d)
+    out = 0.0
+    for w in sorted(set(F.terms) | set(G.terms)):
+        out = _worse(out, _max_abs(F.term(w).values - G.term(w).values))
+    return out
+
+
+def convolve(F, G):
+    d = max(F.depth, G.depth)
+    F, G = F.lift(d), G.lift(d)
+    idx = np.arange(1 << d)
+    acc = {}
+    for wf in sorted(F.terms):
+        tf = F.terms[wf].values
+        for wg in sorted(G.terms):
+            contrib = tf * G.terms[wg].values[idx ^ wf.mask]
+            w = wf ^ wg
+            acc[w] = acc[w] + contrib if w in acc else contrib
+    return AlgebraElement({w: CylinderFunction(d, v) for w, v in acc.items()}, d)
+
+
+def _delta_depth(F, spec) -> int:
+    return max([F.depth] + [spec.min_delta_depth(w) for w in F.terms])
+
+
+def involution(F, spec):
+    d = _delta_depth(F, spec)
+    F = F.lift(d)
+    idx = np.arange(1 << d)
+    return AlgebraElement({
+        w: CylinderFunction(d, spec.delta_inv_table(w, d) * np.conjugate(f.values[idx ^ w.mask]))
+        for w, f in F.terms.items()
+    }, d)
+
+
+def _as_float(table):
+    return table.astype(np.float64) if table.dtype == object else table
+
+
+def modular_conjugation(F, spec):
+    d = _delta_depth(F, spec)
+    F = F.lift(d)
+    idx = np.arange(1 << d)
+    return AlgebraElement({
+        w: CylinderFunction(d, _as_float(spec.delta_inv_table(w, d) ** 0.5)
+                            * np.conjugate(f.values[idx ^ w.mask]))
+        for w, f in F.terms.items()
+    }, d)
+
+
+def modular_operator_pow(F, t, spec):
+    d = _delta_depth(F, spec)
+    F = F.lift(d)
+    out = {}
+    for w, f in F.terms.items():
+        delta = spec.delta_table(w, d)
+        if delta.dtype == object:
+            power = delta ** t if isinstance(t, int) else delta.astype(float) ** t
+        elif isinstance(t, complex):
+            power = np.exp(t * np.log(delta))
+        else:
+            power = delta ** t
+        out[w] = CylinderFunction(d, power * f.values)
+    return AlgebraElement(out, d)
+
+
+def inner_product(F, G, spec):
+    d = max(F.depth, G.depth)
+    F, G = F.lift(d), G.lift(d)
+    total = 0
+    for w in sorted(set(F.terms) | set(G.terms)):
+        if w in F.terms and w in G.terms:
+            total += integrate(spec, CylinderFunction(
+                d, np.conjugate(F.terms[w].values) * G.terms[w].values))
+    return total
+
+
+def l2_norm(F, spec) -> float:
+    sq = inner_product(F, F, spec)
+    if isinstance(sq, complex):
+        sq = sq.real
+    return math.sqrt(float(sq))
+
+
+def hahn_norm(F, spec) -> float:
+    d = _delta_depth(F, spec)
+    F = F.lift(d)
+    idx = np.arange(1 << d)
+    branch_t = np.zeros(1 << d)
+    branch_s = np.zeros(1 << d)
+    for w in sorted(F.terms):
+        absv = _as_float(np.abs(F.terms[w].values))
+        branch_t = branch_t + absv
+        branch_s = branch_s + _as_float(spec.delta_inv_table(w, d)) * absv[idx ^ w.mask]
+    if not F.terms:
+        return 0.0
+    return float(np.maximum(branch_t.max(), branch_s.max()))
+
+
+def pukanszky_V(w, spec):
+    d = max(spec.min_delta_depth(w), w.horizon)
+    return AlgebraElement({w: CylinderFunction(d, _as_float(spec.delta_inv_table(w, d) ** 0.5))})
+
+
+def canonical_weight(F, spec):
+    if EMPTY_WORD not in F.terms:
+        return 0 if spec.exact else 0.0
+    return integrate(spec, F.terms[EMPTY_WORD])
+
+
+def tt_evolve(F, t, energy):
+    d = _delta_depth(F, energy)
+    F = F.lift(d)
+    out = {}
+    for w, f in F.terms.items():
+        phase = np.exp(1j * t * np.asarray(energy.energy_table(w, d), dtype=np.float64))
+        vals = f.values.astype(np.complex128) if f.values.dtype == object else f.values
+        out[w] = CylinderFunction(d, phase * vals)
+    return AlgebraElement(out, d)

@@ -1,9 +1,13 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
+from flipchain import cli
+from flipchain.measures import worst_by_check
 from flipchain import (
     AlgebraElement,
     Bernoulli,
@@ -27,6 +31,7 @@ from flipchain import (
     pukanszky_V,
     random_algebra_element,
     rng_for,
+    tt_evolve,
     unit,
 )
 
@@ -241,3 +246,193 @@ def test_canonical_weight_tracial_at_half():
             - complex(canonical_weight(convolve(G, F), spec))
         )
         assert dev < 1e-12
+
+
+# --- ragged batches against the one-trial, word-by-word oracle -------------
+
+def fraction_element(rng, depth=3, horizon=3):
+    """Two words with exact rational tables (object arrays)."""
+    masks = rng.choice(1 << horizon, size=2, replace=False)
+    return AlgebraElement({
+        FlipWord(int(m)): CylinderFunction(depth, np.array(
+            [Fraction(int(v), 7) for v in rng.integers(-4, 5, 1 << depth)], dtype=object))
+        for m in masks
+    })
+
+
+BATCH_CASES = {
+    "float": (Bernoulli(0.3),
+              lambda rng: random_algebra_element(rng, 4, 3, horizon=3, complex_values=False)),
+    "complex": (Bernoulli(0.3), lambda rng: random_algebra_element(rng, 4, 3, horizon=3)),
+    "complex-exact-measure": (Bernoulli(Fraction(3, 10)),
+                              lambda rng: random_algebra_element(rng, 3, 2, horizon=3)),
+    "fraction": (Bernoulli(Fraction(3, 10)), fraction_element),
+    # horizon == depth: trials whose words reach site 3 need delta depth 4
+    "ising-n-eq-depth": (IsingBoltzmann(1.0),
+                         lambda rng: random_algebra_element(rng, 3, 2, horizon=3)),
+}
+
+# (LOOP_PAIRS, BLOCK_ENTRIES): the defaults, every convolution gathered with
+# one row per block, and every convolution looped in a single block.
+KERNEL_PATHS = {"default": None, "gather-row-blocks": (0, 1), "loop-one-block": (10**9, 1 << 20)}
+
+
+def same_scalar(x, y) -> bool:
+    """Equal bit for bit (NaN equals NaN, -0.0 differs from 0.0)."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, float):
+        return x.hex() == y.hex()
+    if isinstance(x, complex):
+        return same_scalar(x.real, y.real) and same_scalar(x.imag, y.imag)
+    return x == y
+
+
+def assert_trial_is(batch, t, lone):
+    """Trial t of the batch holds the lone element's tables, bit for bit."""
+    lone = lone.lift(batch.depth)
+    got = {w: batch.values[r] for r, (s, w) in
+           enumerate(zip(batch.trial.tolist(), batch.word.tolist())) if s == t}
+    want = {w.mask: f.values for w, f in lone.terms.items()}
+    assert got.keys() == want.keys()
+    for w, row in want.items():
+        assert got[w].dtype == row.dtype
+        if row.dtype == object:
+            assert all(map(same_scalar, got[w].tolist(), row.tolist()))
+        else:
+            assert got[w].tobytes() == row.tobytes()
+
+
+def batch_trials(case, count=6):
+    spec, draw = BATCH_CASES[case]
+    Fs = [draw(rng_for(31, i)) for i in range(count)]
+    Gs = [draw(rng_for(32, i)) for i in range(count)]
+    Fs[2] = AlgebraElement({})  # trials without rows, in the middle of the batch
+    Gs[4] = AlgebraElement({e(1): CylinderFunction.zero(1)})  # dropped: also empty
+    return spec, Fs, Gs
+
+
+@pytest.fixture(params=KERNEL_PATHS)
+def kernel_path(request, monkeypatch):
+    import flipchain.algebra as algebra
+    if KERNEL_PATHS[request.param]:
+        loop, block = KERNEL_PATHS[request.param]
+        monkeypatch.setattr(algebra, "LOOP_PAIRS", loop)
+        monkeypatch.setattr(algebra, "BLOCK_ENTRIES", block)
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_kernels_match_the_oracle_bit_for_bit(case, kernel_path):
+    spec, Fs, Gs = batch_trials(case)
+    F, G = AlgebraElement.batch(Fs), AlgebraElement.batch(Gs)
+    assert (F.trials, len(F.support)) == (6, sum(len(X.support) for X in Fs))
+    powers = (2, 0.5) if spec.exact else (0.5, 0.7j)
+    element_kernels = [
+        (convolve, oracles.convolve, (G,)),
+        (involution, oracles.involution, (spec,)),
+        (modular_conjugation, oracles.modular_conjugation, (spec,)),
+    ] + [(lambda X, t, s: modular_operator_pow(X, t, s),
+          lambda X, t, s: oracles.modular_operator_pow(X, t, s), (t, spec)) for t in powers]
+    for kernel, oracle, args in element_kernels:
+        batched = kernel(F, *args)
+        for t in range(6):
+            lone_args = [Gs[t] if a is G else a for a in args]
+            assert_trial_is(batched, t, oracle(Fs[t], *lone_args))
+            assert_trial_is(batched, t, kernel(Fs[t], *lone_args))
+    product = convolve(F, G)
+    scalar_kernels = [
+        (max_abs_diff(F, G), oracles.max_abs_diff, lambda t: (Fs[t], Gs[t])),
+        (inner_product(F, G, spec), oracles.inner_product, lambda t: (Fs[t], Gs[t], spec)),
+        (l2_norm(product, spec), oracles.l2_norm,
+         lambda t: (oracles.convolve(Fs[t], Gs[t]), spec)),
+        (hahn_norm(F, spec), oracles.hahn_norm, lambda t: (Fs[t], spec)),
+        (canonical_weight(product, spec), oracles.canonical_weight,
+         lambda t: (oracles.convolve(Fs[t], Gs[t]), spec)),
+    ]
+    for results, oracle, args in scalar_kernels:
+        assert len(results) == 6
+        for t in range(6):
+            assert same_scalar(results[t], oracle(*args(t)))
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
+def test_batched_linear_structure_and_flow_match_lone_elements(case):
+    spec, Fs, Gs = batch_trials(case)
+    F, G = AlgebraElement.batch(Fs), AlgebraElement.batch(Gs)
+    for batched, lone in ((F + G, lambda t: Fs[t] + Gs[t]), (F - G, lambda t: Fs[t] - Gs[t]),
+                          (2 * F, lambda t: 2 * Fs[t]), (-G, lambda t: -Gs[t])):
+        for t in range(6):
+            assert_trial_is(batched, t, lone(t))
+    if not spec.exact:
+        flowed = tt_evolve(F, 0.37, spec)
+        for t in range(6):
+            assert_trial_is(flowed, t, oracles.tt_evolve(Fs[t], 0.37, spec))
+
+
+@pytest.mark.parametrize("spec", SPECS + (Bernoulli(Fraction(3, 10)),),
+                         ids=["bernoulli", "ising", "exact"])
+def test_batched_flip_unitaries_match_the_oracle(spec):
+    words = [e(1), FlipWord.from_sites([1, 3]), e(1), FlipWord.from_sites([2])]
+    V = pukanszky_V(words, spec)
+    assert V.trials == 4
+    for t, w in enumerate(words):
+        assert_trial_is(V, t, oracles.pukanszky_V(w, spec))
+    assert_trial_is(pukanszky_V(e(2), spec), 0, oracles.pukanszky_V(e(2), spec))
+
+
+def test_batch_operands_must_hold_the_same_trials():
+    F = AlgebraElement.batch([unit(), unit()])
+    with pytest.raises(ValueError):
+        convolve(F, unit())
+    with pytest.raises(ValueError):
+        max_abs_diff(F, AlgebraElement.batch([unit()]))
+
+
+def test_nan_trial_is_the_witness(kernel_path):
+    Fs = [random_algebra_element(rng_for(33, i), 4, 3, horizon=3) for i in range(5)]
+    word, table = next(iter(Fs[3].terms.items()))
+    poisoned = table.values.copy()
+    poisoned[5] = math.nan
+    Fs[3] = Fs[3] + AlgebraElement({word: CylinderFunction(4, poisoned - table.values)})
+    F = AlgebraElement.batch(Fs)
+    spec = Bernoulli(0.3)
+    devs = max_abs_diff(involution(involution(F, spec), spec), F)
+    assert [math.isnan(x) for x in devs] == [False, False, False, True, False]
+    assert math.isnan(hahn_norm(F, spec)[3]) and math.isnan(l2_norm(F, spec)[3])
+    worst, witness = worst_by_check((t, {"involutive": x}) for t, x in enumerate(devs))
+    assert math.isnan(worst["involutive"]) and witness["involutive"] == 3
+
+
+def test_algebra_report_names_the_nan_trial(monkeypatch, capsys):
+    # the F drawn for trial 3 carries a NaN; chunks of two trials
+    monkeypatch.setattr(cli, "CHUNK_ENTRIES", 2 << 6)
+    draws = []
+
+    def draw(rng, depth, words, horizon=None):
+        X = random_algebra_element(rng, depth, words, horizon=horizon)
+        draws.append(X)
+        if len(draws) == 4 * 3 + 1:
+            word, table = next(iter(X.terms.items()))
+            X = X + AlgebraElement({word: CylinderFunction(depth, np.full(1 << depth, math.nan))})
+        return X
+
+    monkeypatch.setattr(cli, "random_algebra_element", draw)
+    assert cli.main(["algebra", "--trials", "6"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["failure"] == {"invariant": "associativity", "witness": {"trial": 3}}
+    # every check but the flip unitary's reads F
+    assert {k for k, v in doc["report"]["max_deviations"].items() if math.isnan(v)} == {
+        "associativity", "involution_antihomomorphism", "involution_involutive",
+        "polar_decomposition", "bound_violation"}
+
+
+@pytest.mark.parametrize("argv", ["algebra --trials 7", "trace --trials 7"])
+def test_reports_do_not_depend_on_the_chunking(monkeypatch, capsys, argv):
+    reports = {}
+    # one trial per chunk, chunks of three with a ragged last one, one chunk
+    for per_chunk, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
+        monkeypatch.setattr(cli, "CHUNK_ENTRIES", per_chunk << 6)
+        assert [len(c) for c in cli._chunks(cli.RunConfig(trials=7))] == sizes
+        assert cli.main(argv.split()) == 0
+        reports[per_chunk] = capsys.readouterr().out
+    assert reports[1] == reports[3] == reports[7]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import flipchain.cli  # noqa: F401  (the tracer patches every loaded flipchain module)
 from flipchain import Bernoulli, IsingBoltzmann
+from flipchain.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -51,3 +52,27 @@ def test_tracer_patches_every_name_and_restores_it(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_batched_runs_report_the_same_bytes(monkeypatch, capsys):
+    # the tracer's observers read batched operands (convolve's word-pair
+    # count reads len(F.terms) and F.depth); a crash there would otherwise
+    # first show as a benchmark gate failure
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    runs = (["algebra", "--trials", "3"], ["trace", "--trials", "3"])
+    plain = []
+    for argv in runs:
+        assert main(argv) == 0
+        plain.append(capsys.readouterr().out)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        for argv, want in zip(runs, plain):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == want
+    finally:
+        t.uninstall()
+    layers = t.layer_metrics(1.0)
+    assert layers["algebra.convolve.word_pairs"] > 0
+    assert layers["algebra.convolve.calls"] > 0

@@ -59,7 +59,8 @@ def test_invariant_violation_exit_1(capsys):
 
 
 def test_algebra_nan_deviation_fails(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: math.nan)
+    # the kernels take batches of trials and give one deviation per trial
+    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: [math.nan] * F.trials)
     code, doc = run_json(capsys, "algebra", "--trials", "2")
     assert code == 1
     assert doc["passed"] is False
@@ -67,7 +68,7 @@ def test_algebra_nan_deviation_fails(monkeypatch, capsys):
 
 def test_algebra_reports_first_failing_check_in_key_order(monkeypatch, capsys):
     # only flip_unitary and bound_violation fail: the first in key order wins
-    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: 0.0)
+    monkeypatch.setattr(cli, "max_abs_diff", lambda F, G: [0.0] * F.trials)
     monkeypatch.setattr(cli, "_worse", lambda worst, dev: 1.0)
     code, doc = run_json(capsys, "algebra", "--trials", "2")
     assert code == 1
@@ -233,6 +234,13 @@ MALFORMED_TABLES = {
     "depth below n": {"n": 2, "entries": [{"flips": [1], "depth": 1, "values": [0, 0]}]},
     "boolean n": {"n": True, "entries": [{"flips": [], "depth": 1, "values": [0, 0]},
                                          {"flips": [1], "depth": 1, "values": [1, -1]}]},
+    "boolean depth and site, fractional depth": {"n": 1, "entries": [
+        {"flips": [], "depth": True, "values": [0, 0]},
+        {"flips": [True], "depth": 1.9, "values": [1, -1]}]},
+    "boolean depth": {"n": 1, "entries": [{"flips": [], "depth": True, "values": [0, 0]}]},
+    "fractional depth": {"n": 1, "entries": [{"flips": [], "depth": 1.9, "values": [0, 0]}]},
+    "boolean site": {"n": 1, "entries": [{"flips": [True], "depth": 1, "values": [1, -1]}]},
+    "fractional site": {"n": 1, "entries": [{"flips": [1.0], "depth": 1, "values": [1, -1]}]},
 }
 
 

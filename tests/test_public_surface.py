@@ -24,6 +24,8 @@ KEEP = {
     "ising_energy_brute": "tests/test_acceptance.py, the energy oracle",
     "ising_dfs_table": "tests/test_acceptance.py",
     "Cochain.from_cylinder": "tests/test_acceptance.py",
+    "inner_product": "demos/convolution_algebra.py; tests/test_algebra.py",
+    "AlgebraElement.term": "demos/matrix_bridge.py; tests/test_algebra.py",
 }
 
 

@@ -14,7 +14,8 @@ elementwise float arithmetic and square roots, which IEEE 754 rounds
 correctly everywhere, and exact Fractions, so the digests hold on any
 machine.  Between them they cover the passing verdict of each of the
 algebra, haar, trace, glimm, axioms, dfs-build and dfs-check paths, the
-exact Fraction path, and one failure record.  All run in well under a
+exact Fraction path, and one failure record; the larger algebra and trace
+configs run their trials in several chunks.  All run in well under a
 second.  COCHAIN_DIGEST pins the benchmark's library
 `cochain` operation (cochain_delta and is_exact) the same way.
 """
@@ -62,6 +63,13 @@ DIGESTS = {
         (0, "a94917a8e0413ad5b71714a942946e3f19aed287670206f2f5eb9cb5bc6f682c"),
     "algebra --tol 1e-30 --trials 3":
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
+    # several trial chunks each, with a ragged last chunk at the default depth
+    "algebra --trials 100":
+        (0, "495c867242dcc5bbc81064088974a9615b13b348d2c87cf709ef6f6a1793035a"),
+    "algebra --n 5 --depth 8 --trials 10":
+        (0, "9f51da8abbfa7356eac53a6edac3113174755769041e221c2533b55bbdd22bf8"),
+    "trace --trials 100":
+        (0, "ca17dfb19351809e347476e14f7a13a92f8c56253664f97c3c2ff79029cd3082"),
 }
 
 COCHAIN_DIGEST = "8dd6ebed85a62e1711b9e3e4702c6f1541f1707aa2acc67b636cbdc574582cf6"
