@@ -52,11 +52,6 @@ from .measures import (
 # elements of the matrix bridge and the phase flow, the gather for batches.
 LOOP_PAIRS = 32
 
-# Kernels form their temporary tables in blocks of rows holding at most this
-# many entries (at least one row), so a large depth or batch costs no more
-# than a few such blocks of working memory at a time.
-BLOCK_ENTRIES = 1 << 13
-
 # Row keys are trial << DEPTH_CAP | word mask: no word reaches past the cap.
 _WORD_BITS = (1 << DEPTH_CAP) - 1
 
@@ -224,59 +219,34 @@ def _match(F: AlgebraElement, G: AlgebraElement):
     return both_f, both_g, only_f, list(only_g.values())
 
 
-def _take(F: AlgebraElement, rows: list, b: slice) -> np.ndarray:
-    """The tables of the ascending row indices rows[b]; a view when rows are all of F's."""
-    return F.values[b] if len(rows) == len(F.word) else F.values[rows[b]]
+def _take(F: AlgebraElement, rows: list) -> np.ndarray:
+    """The tables of the ascending row indices rows; a view when they are all of F's."""
+    return F.values if len(rows) == len(F.word) else F.values[rows]
 
 
-def _blocks(rows: int, depth: int) -> list:
-    """Slices cutting rows of 2**depth entries into blocks of BLOCK_ENTRIES."""
-    step = max(1, BLOCK_ENTRIES >> depth)
-    return [slice(k, k + step) for k in range(0, rows, step)] or [slice(0, 0)]
+def _flipped(F: AlgebraElement) -> np.ndarray:
+    """F's tables, row r read at x ^ (word of row r): F(x ^ w, w)."""
+    size = 1 << F.depth
+    flat = (np.arange(len(F.word)) * size)[:, None] + (_index(F.depth) ^ F.word[:, None])
+    return F.values.ravel().take(flat)
 
 
-def _blockwise(F: AlgebraElement, table) -> np.ndarray:
-    """The tables table(b) of F's row blocks b, stacked into one array."""
-    out = None
-    for b in _blocks(len(F.word), F.depth):
-        part = table(b)
-        if out is None:
-            out = np.empty((len(F.word), part.shape[1]), dtype=part.dtype)
-        out[b] = part
-    return out
+def _per_word(F: AlgebraElement, spec: MeasureSpec, table):
+    """F lifted to the depth d that spec's modular function needs on its
+    words, and the tables table(word, d) of its rows, one build per word."""
+    rows = F.word.tolist()
+    words = dict.fromkeys(rows)
+    d = max([F.depth] + [spec.min_delta_depth(FlipWord(w)) for w in words])
+    F = F.lift(d)
+    built = {w: table(FlipWord(w), d) for w in words}
+    return F, np.array([built[w] for w in rows]) if rows else np.zeros((0, 1 << d))
 
 
-def _flipped(F: AlgebraElement, values: np.ndarray, b: slice) -> np.ndarray:
-    """Rows b of values, row r read at x ^ (word of row r): F(x ^ w, w)."""
-    rows = values[b]
-    size = rows.shape[1]
-    flat = (np.arange(len(rows)) * size)[:, None] + (_index(F.depth) ^ F.word[b, None])
-    return rows.ravel().take(flat)
-
-
-def _per_word(F: AlgebraElement, table):
-    """The tables table(word) of the rows of a block, one build per word."""
-    words = F.word.tolist()
-    built = {}
-
-    def rows(b: slice) -> np.ndarray:
-        out = []
-        for w in words[b]:
-            if w not in built:
-                built[w] = table(FlipWord(w))
-            out.append(built[w])
-        return np.array(out) if out else np.zeros((0, 1 << F.depth))
-
-    return rows
-
-
-def _trial_sums(F: AlgebraElement, table) -> np.ndarray:
-    """Per-trial sums of the block tables table(b), added in word order onto zeros."""
+def _trial_sums(F: AlgebraElement, rows: np.ndarray) -> np.ndarray:
+    """Per-trial sums of the rows, added in word order onto zeros."""
     out = np.zeros((F._count, 1 << F.depth))
-    trials = F.trial.tolist()
-    for b in _blocks(len(trials), F.depth):
-        for t, row in zip(trials[b], table(b)):
-            out[t] += row
+    for t, row in zip(F.trial.tolist(), rows):
+        out[t] += row
     return out
 
 
@@ -306,13 +276,12 @@ def max_abs_diff(F: AlgebraElement, G: AlgebraElement):
     F, G = F.lift(d), G.lift(d)
     both_f, both_g, only_f, only_g = _match(F, G)
     worst = np.zeros(F._count)
-    # |x - 0| = |x|: a word in one operand only deviates by its own table
-    for trial, rows in ((F.trial[both_f], lambda b: _take(F, both_f, b) - _take(G, both_g, b)),
-                        (F.trial[only_f], lambda b: _take(F, only_f, b)),
-                        (G.trial[only_g], lambda b: _take(G, only_g, b))):
-        for b in _blocks(len(trial), d) if len(trial) else ():
-            with np.errstate(invalid="ignore"):  # NaN is a result, not an error
-                np.maximum.at(worst, trial[b], _row_max_abs(rows(b)))
+    with np.errstate(invalid="ignore"):  # NaN is a result, not an error
+        # |x - 0| = |x|: a word in one operand only deviates by its own table
+        for trial, rows in ((F.trial[both_f], _take(F, both_f) - _take(G, both_g)),
+                            (F.trial[only_f], _take(F, only_f)),
+                            (G.trial[only_g], _take(G, only_g))):
+            np.maximum.at(worst, trial, _row_max_abs(rows))
     return F._per_trial(worst.tolist())
 
 
@@ -352,18 +321,16 @@ def convolve(F: AlgebraElement, G: AlgebraElement) -> AlgebraElement:
     head = np.flatnonzero(starts)
     group = np.cumsum(starts) - 1
     rank = np.arange(len(key)) - head[group]
-    # rank by rank, block by block: the product of every output's rank-r pair
+    # rank by rank: the product of every output's rank-r pair
     size, idx, flat_g = 1 << d, _index(d), G.values.ravel()
-    out = np.empty((len(head), size), dtype=np.result_type(F.values, G.values))
     for r in range(int(rank.max()) + 1):
         at = np.flatnonzero(rank == r)
-        for b in _blocks(len(at), d):
-            fi, gj = i[at[b]], j[at[b]]
-            gathered = flat_g.take((gj * size)[:, None] + (idx ^ F.word[fi][:, None]))
-            if r == 0:  # the heads, which are the outputs in order
-                np.multiply(F.values[fi], gathered, out=out[b])
-            else:
-                out[group[at[b]]] += F.values[fi] * gathered
+        fi, gj = i[at], j[at]
+        product = F.values[fi] * flat_g.take((gj * size)[:, None] + (idx ^ F.word[fi][:, None]))
+        if r == 0:  # the heads, which are the outputs in order
+            out = product
+        else:
+            out[group[at]] += product
     key = key[head]
     return F._with(d, out, key >> DEPTH_CAP, key & _WORD_BITS)
 
@@ -385,24 +352,14 @@ def _convolve_pairs(F: AlgebraElement, G: AlgebraElement, d: int) -> AlgebraElem
     return F._with(d, *_sorted_rows(acc, d))
 
 
-def _delta_depth(F: AlgebraElement, spec: MeasureSpec) -> int:
-    d = F.depth
-    for w in set(F.word.tolist()):
-        d = max(d, spec.min_delta_depth(FlipWord(w)))
-    return d
-
-
 def _as_float(table: np.ndarray) -> np.ndarray:
     return table.astype(np.float64) if table.dtype == object else table
 
 
 def involution(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """The adjoint F+(x, w) = delta((x, w))**-1 conj(F(x ^ w, w))."""
-    d = _delta_depth(F, spec)
-    F = F.lift(d)
-    dinv = _per_word(F, lambda w: spec.delta_inv_table(w, d))
-    return F._with(d, _blockwise(
-        F, lambda b: dinv(b) * np.conjugate(_flipped(F, F.values, b))))
+    F, dinv = _per_word(F, spec, spec.delta_inv_table)
+    return F._with(F.depth, dinv * np.conjugate(_flipped(F)))
 
 
 def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
@@ -411,11 +368,8 @@ def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     J is an involution, and composing it with the square root of the modular
     operator reproduces the adjoint (the polar decomposition of +).
     """
-    d = _delta_depth(F, spec)
-    F = F.lift(d)
-    droot = _per_word(F, lambda w: _as_float(spec.delta_inv_table(w, d) ** 0.5))
-    return F._with(d, _blockwise(
-        F, lambda b: droot(b) * np.conjugate(_flipped(F, F.values, b))))
+    F, droot = _per_word(F, spec, lambda w, d: _as_float(spec.delta_inv_table(w, d) ** 0.5))
+    return F._with(F.depth, droot * np.conjugate(_flipped(F)))
 
 
 def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElement:
@@ -424,10 +378,7 @@ def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElem
     Real t gives the scaled element; purely imaginary t = i s is the modular
     flow, a pointwise phase.  Exact measures with integer t stay exact.
     """
-    d = _delta_depth(F, spec)
-    F = F.lift(d)
-
-    def power(w):
+    def power(w, d):
         delta = spec.delta_table(w, d)
         if delta.dtype == object:
             return delta ** t if isinstance(t, int) else delta.astype(float) ** t
@@ -435,8 +386,8 @@ def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElem
             return np.exp(t * np.log(delta))
         return delta ** t
 
-    powers = _per_word(F, power)
-    return F._with(d, _blockwise(F, lambda b: powers(b) * F.values[b]))
+    F, powers = _per_word(F, spec, power)
+    return F._with(F.depth, powers * F.values)
 
 
 def _trial_totals(F: AlgebraElement, trial: list, values: list) -> list:
@@ -453,19 +404,13 @@ def inner_product(F: AlgebraElement, G: AlgebraElement, spec: MeasureSpec):
     d = max(F.depth, G.depth)
     F, G = F.lift(d), G.lift(d)
     both_f, both_g, _, _ = _match(F, G)
-    integrals = []
-    for b in _blocks(len(both_f), d):
-        integrals += _integrate_rows(
-            spec, d, np.conjugate(_take(F, both_f, b)) * _take(G, both_g, b))
+    integrals = _integrate_rows(spec, d, np.conjugate(_take(F, both_f)) * _take(G, both_g))
     return F._per_trial(_trial_totals(F, F.trial[both_f].tolist(), integrals))
 
 
 def l2_norm(F: AlgebraElement, spec: MeasureSpec):
     """Hilbert-space norm: sqrt(sum_w integral |F_w|**2)."""
-    squares = []
-    for b in _blocks(len(F.word), F.depth):
-        rows = F.values[b]
-        squares += _integrate_rows(spec, F.depth, np.conjugate(rows) * rows, real=True)
+    squares = _integrate_rows(spec, F.depth, np.conjugate(F.values) * F.values, real=True)
     return F._per_trial([
         math.sqrt(float(sq.real if isinstance(sq, complex) else sq))
         for sq in _trial_totals(F, F.trial.tolist(), squares)
@@ -478,15 +423,9 @@ def hahn_norm(F: AlgebraElement, spec: MeasureSpec):
     Branch (a) is sup_x sum_w |F(x, w)|; branch (b) weights the inverse
     element by delta**-1: sup_x sum_w delta((x, w))**-1 |F(x ^ w, w)|.
     """
-    d = _delta_depth(F, spec)
-    F = F.lift(d)
-    dinv = _per_word(F, lambda w: _as_float(spec.delta_inv_table(w, d)))
-
-    def absolute(rows):
-        return _as_float(np.abs(rows))
-
-    branch_t = _trial_sums(F, lambda b: absolute(F.values[b]))
-    branch_s = _trial_sums(F, lambda b: dinv(b) * absolute(_flipped(F, F.values, b)))
+    F, dinv = _per_word(F, spec, lambda w, d: _as_float(spec.delta_inv_table(w, d)))
+    branch_t = _trial_sums(F, _as_float(np.abs(F.values)))
+    branch_s = _trial_sums(F, dinv * _as_float(np.abs(_flipped(F))))
     # a trial without rows sums to zeros, whose max is the 0.0 it is owed
     return F._per_trial(np.maximum(branch_t.max(axis=1), branch_s.max(axis=1)).tolist())
 

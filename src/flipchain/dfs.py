@@ -307,7 +307,11 @@ def dfs_from_json(doc: dict) -> DfsTable:
         if isinstance(depth, bool) or not isinstance(depth, int):
             raise InvalidSpec(f"table entry {i}: depth must be an integer, got {depth!r}")
         try:
-            w = FlipWord.from_sites(rec["flips"])
+            sites = list(rec["flips"])
+            # refused before from_sites forms the bit 1 << (site - 1)
+            if any(isinstance(s, int) and s > n for s in sites):
+                raise InvalidSpec(f"table entry {i}: a site of {sites!r} exceeds horizon {n}")
+            w = FlipWord.from_sites(sites)
             raw = rec["values"]
             if raw and isinstance(raw[0], str):
                 values = np.array([Fraction(v) for v in raw], dtype=object)
@@ -315,10 +319,8 @@ def dfs_from_json(doc: dict) -> DfsTable:
                 values = np.array([float(v) for v in raw])
             # CylinderFunction rejects a value count other than 2**depth
             entries[w] = CylinderFunction(depth, values)
-        except (TypeError, ValueError, LookupError) as err:
+        except (TypeError, ValueError, LookupError, ArithmeticError) as err:
             raise InvalidSpec(f"table entry {i}: {err}") from err
-        if w.mask >> n:
-            raise InvalidSpec(f"table entry {i}: word {w!r} exceeds horizon {n}")
         table_depth = max(table_depth, depth)
     if table_depth < n:
         raise InvalidSpec(f"horizon {n} needs depth >= {n}, got {table_depth}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
 # the one depth rule of the modular maps, and their per-word tables
-from .algebra import _blockwise, _delta_depth, _per_word
+from .algebra import _per_word
 from .dfs import DfsTable
 from .errors import DegenerateSpectrum, DepthTooSmall, InvalidSpec
 from .groupoid import FlipWord, GroupoidElement
@@ -122,12 +122,10 @@ def tt_evolve(F: AlgebraElement, t, energy) -> AlgebraElement:
 
     At t = i the flow is the modular operator delta = e^{-S}.
     """
-    d = _delta_depth(F, energy)
-    F = F.lift(d)
-    phases = _per_word(F, lambda w: np.exp(
+    F, phases = _per_word(F, energy, lambda w, d: np.exp(
         1j * t * np.asarray(energy.energy_table(w, d), dtype=np.float64)))
     values = F.values.astype(np.complex128) if F.values.dtype == object else F.values
-    return F._with(d, _blockwise(F, lambda b: phases(b) * values[b]))
+    return F._with(F.depth, phases * values)
 
 
 def heisenberg_equivalence_check(

@@ -272,9 +272,9 @@ BATCH_CASES = {
                          lambda rng: random_algebra_element(rng, 3, 2, horizon=3)),
 }
 
-# (LOOP_PAIRS, BLOCK_ENTRIES): the defaults, every convolution gathered with
-# one row per block, and every convolution looped in a single block.
-KERNEL_PATHS = {"default": None, "gather-row-blocks": (0, 1), "loop-one-block": (10**9, 1 << 20)}
+# LOOP_PAIRS: the default, every convolution gathered rank by rank, and every
+# convolution looped over its row pairs.  The ids keep the test names stable.
+KERNEL_PATHS = {"default": None, "gather-row-blocks": 0, "loop-one-block": 10**9}
 
 
 def same_scalar(x, y) -> bool:
@@ -315,10 +315,8 @@ def batch_trials(case, count=6):
 @pytest.fixture(params=KERNEL_PATHS)
 def kernel_path(request, monkeypatch):
     import flipchain.algebra as algebra
-    if KERNEL_PATHS[request.param]:
-        loop, block = KERNEL_PATHS[request.param]
-        monkeypatch.setattr(algebra, "LOOP_PAIRS", loop)
-        monkeypatch.setattr(algebra, "BLOCK_ENTRIES", block)
+    if KERNEL_PATHS[request.param] is not None:
+        monkeypatch.setattr(algebra, "LOOP_PAIRS", KERNEL_PATHS[request.param])
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)

@@ -8,6 +8,7 @@ import pytest
 
 from flipchain import cli, dfs
 from flipchain.cli import main
+from flipchain.groupoid import FlipWord
 
 
 def run(capsys, *argv):
@@ -241,6 +242,9 @@ MALFORMED_TABLES = {
     "fractional depth": {"n": 1, "entries": [{"flips": [], "depth": 1.9, "values": [0, 0]}]},
     "boolean site": {"n": 1, "entries": [{"flips": [True], "depth": 1, "values": [1, -1]}]},
     "fractional site": {"n": 1, "entries": [{"flips": [1.0], "depth": 1, "values": [1, -1]}]},
+    "site far beyond n": {"n": 1, "entries": [{"flips": [100], "depth": 1, "values": [0, 0]}]},
+    "zero denominator": {"n": 0, "entries": [{"flips": [], "depth": 0, "values": ["1/0"]}]},
+    "value beyond float": {"n": 0, "entries": [{"flips": [], "depth": 0, "values": [10**400]}]},
 }
 
 
@@ -248,9 +252,20 @@ def _refuse_table(*args, **kwargs):
     raise AssertionError("a table was allocated before its document was checked")
 
 
+_FROM_SITES = FlipWord.from_sites
+
+
+def _refuse_far_sites(cls, sites):
+    # a word with such a site would allocate its bit before the horizon check
+    if any(isinstance(s, int) and s > 64 for s in sites):
+        raise AssertionError(f"a word was built from the sites {sites!r}")
+    return _FROM_SITES(sites)
+
+
 @pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
 def test_dfs_check_malformed_table_exit_2(monkeypatch, tmp_path, capsys, doc):
     monkeypatch.setattr(dfs, "DfsTable", _refuse_table)
+    monkeypatch.setattr(FlipWord, "from_sites", classmethod(_refuse_far_sites))
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     assert main(["dfs-check", str(path)]) == 2

@@ -5,7 +5,8 @@ independent oracle, and the oracles live in tests/.  A public module-level
 function or class, or a public method or property, whose name appears
 nowhere in src/flipchain except in its own definition and in __init__.py is
 dead surface.  It fails here unless KEEP names the caller outside src/ that
-needs it.
+needs it.  A private module-level function or constant that no live code
+in the package reads is dead code, and fails with no KEEP exception.
 
 Names are matched, not resolved: a method counts as used when an attribute
 of that name is read anywhere in the package, so a dead method that shares
@@ -47,6 +48,45 @@ def _surface():
                         yield f"{node.name}.{item.name}", item.name, True
 
 
+def _private_names(node) -> list:
+    """The private names a module-level statement defines as a function or constant."""
+    if isinstance(node, ast.FunctionDef):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        assigned = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in assigned if isinstance(t, ast.Name)]
+    else:
+        return []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _dead_private():
+    """module.name of every private module-level function and constant that
+    no live statement outside __init__.py reads, as a name or an attribute.
+    A statement that defines only dead names is not live, so a helper read
+    only by dead helpers is dead too."""
+    statements = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            reads = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    reads.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    reads.add(sub.attr)
+            statements.append(([f"{path.stem}.{n}" for n in _private_names(node)], reads))
+    dead = set()
+    while True:
+        read = set().union(*(reads for defined, reads in statements
+                             if not defined or not dead.issuperset(defined)))
+        now = {q for defined, _ in statements for q in defined if q.split(".")[1] not in read}
+        if now == dead:
+            return dead
+        dead = now
+
+
 def _references():
     """Names read as plain names, and as attributes, outside __init__.py."""
     names, attrs = set(), set()
@@ -72,6 +112,11 @@ def _unused():
 def test_every_public_name_is_used_in_the_package():
     dead = sorted(_unused() - KEEP.keys())
     assert not dead, f"public names no module in src/ uses: {dead}"
+
+
+def test_every_private_helper_is_read_in_the_package():
+    dead = sorted(_dead_private())
+    assert not dead, f"private names no live code in src/ reads: {dead}"
 
 
 def test_keep_names_only_what_would_fail():
