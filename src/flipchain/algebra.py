@@ -242,14 +242,6 @@ def _per_word(F: AlgebraElement, spec: MeasureSpec, table):
     return F, np.array([built[w] for w in rows]) if rows else np.zeros((0, 1 << d))
 
 
-def _trial_sums(F: AlgebraElement, rows: np.ndarray) -> np.ndarray:
-    """Per-trial sums of the rows, added in word order onto zeros."""
-    out = np.zeros((F._count, 1 << F.depth))
-    for t, row in zip(F.trial.tolist(), rows):
-        out[t] += row
-    return out
-
-
 def _row_max_abs(rows: np.ndarray) -> np.ndarray:
     """Largest absolute entry of every row; NaN where any entry is NaN."""
     if rows.dtype == object:
@@ -356,6 +348,11 @@ def _as_float(table: np.ndarray) -> np.ndarray:
     return table.astype(np.float64) if table.dtype == object else table
 
 
+def _inverse_root(spec: MeasureSpec):
+    """The builder of delta**-1/2 tables, in floating point even for exact measures."""
+    return lambda w, d: _as_float(spec.delta_inv_table(w, d) ** 0.5)
+
+
 def involution(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     """The adjoint F+(x, w) = delta((x, w))**-1 conj(F(x ^ w, w))."""
     F, dinv = _per_word(F, spec, spec.delta_inv_table)
@@ -368,7 +365,7 @@ def modular_conjugation(F: AlgebraElement, spec: MeasureSpec) -> AlgebraElement:
     J is an involution, and composing it with the square root of the modular
     operator reproduces the adjoint (the polar decomposition of +).
     """
-    F, droot = _per_word(F, spec, lambda w, d: _as_float(spec.delta_inv_table(w, d) ** 0.5))
+    F, droot = _per_word(F, spec, _inverse_root(spec))
     return F._with(F.depth, droot * np.conjugate(_flipped(F)))
 
 
@@ -390,11 +387,11 @@ def modular_operator_pow(F: AlgebraElement, t, spec: MeasureSpec) -> AlgebraElem
     return F._with(F.depth, powers * F.values)
 
 
-def _trial_totals(F: AlgebraElement, trial: list, values: list) -> list:
-    """Per-trial sums of row values, added in row order onto 0."""
-    totals = [0] * F._count
+def _trial_totals(F: AlgebraElement, trial: list, values, zero=0) -> list:
+    """Per-trial sums of row values (numbers or tables), added in row order onto zero."""
+    totals = [zero] * F._count
     for t, value in zip(trial, values):
-        totals[t] += value
+        totals[t] = totals[t] + value  # not +=: every trial shares the zero
     return totals
 
 
@@ -424,10 +421,12 @@ def hahn_norm(F: AlgebraElement, spec: MeasureSpec):
     element by delta**-1: sup_x sum_w delta((x, w))**-1 |F(x ^ w, w)|.
     """
     F, dinv = _per_word(F, spec, lambda w, d: _as_float(spec.delta_inv_table(w, d)))
-    branch_t = _trial_sums(F, _as_float(np.abs(F.values)))
-    branch_s = _trial_sums(F, dinv * _as_float(np.abs(_flipped(F))))
+    trial, zero = F.trial.tolist(), np.zeros(1 << F.depth)
+    branch_t = _trial_totals(F, trial, _as_float(np.abs(F.values)), zero)
+    branch_s = _trial_totals(F, trial, dinv * _as_float(np.abs(_flipped(F))), zero)
     # a trial without rows sums to zeros, whose max is the 0.0 it is owed
-    return F._per_trial(np.maximum(branch_t.max(axis=1), branch_s.max(axis=1)).tolist())
+    return F._per_trial(np.maximum(np.max(branch_t, axis=1),
+                                   np.max(branch_s, axis=1)).tolist())
 
 
 def pukanszky_V(w, spec: MeasureSpec) -> AlgebraElement:
@@ -438,13 +437,13 @@ def pukanszky_V(w, spec: MeasureSpec) -> AlgebraElement:
     measures.  A sequence of words gives the batch with one unitary per trial.
     """
     words = [w] if isinstance(w, FlipWord) else list(w)
-    d = max(max(spec.min_delta_depth(u), u.horizon) for u in words)
-    roots = {u: _as_float(spec.delta_inv_table(u, d) ** 0.5) for u in set(words)}
-    V = object.__new__(AlgebraElement)
-    V._set(d, None if isinstance(w, FlipWord) else len(words),
-           np.array([roots[u] for u in words]), np.arange(len(words)),
-           np.array([u.mask for u in words], dtype=np.int64))
-    return V
+    # the bare flips, one row per trial, at depth 0 until _per_word lifts them
+    flips = object.__new__(AlgebraElement)
+    flips._set(0, None if isinstance(w, FlipWord) else len(words), np.ones((len(words), 1)),
+               np.arange(len(words)), np.array([u.mask for u in words], dtype=np.int64),
+               nonzero=True)
+    flips, roots = _per_word(flips, spec, _inverse_root(spec))
+    return flips._with(flips.depth, roots)
 
 
 def pukanszky_L(phi: CylinderFunction) -> AlgebraElement:

@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import reduce
 
@@ -79,9 +79,8 @@ class RunConfig:
     tol: float = 1e-12
     format: str = "json"
     out: str | None = None
-    lam_given: bool = False
-    J_given: bool = False
-    measure_given: bool = False
+    table: str | None = None  # the table file dfs-check reads
+    given: frozenset = frozenset()  # the fields a flag or the config file set
 
     def validate(self):
         if self.n < 0:
@@ -95,6 +94,8 @@ class RunConfig:
             raise InvalidSpec(f"J must be finite, got {self.J}")
         if self.trials < 1:
             raise InvalidSpec(f"trials must be >= 1, got {self.trials}")
+        if not -(1 << 63) <= self.seed < 1 << 63:
+            raise InvalidSpec(f"seed must lie in [-2**63, 2**63), got {self.seed}")
         if self.measure_kind not in ("bernoulli", "ising"):
             raise InvalidSpec(f"unknown measure kind {self.measure_kind!r}")
         if self.format not in ("json", "csv"):
@@ -119,72 +120,57 @@ class RunConfig:
         }
 
 
-# The type each config-file value must have: the type its flag takes.
-# (JSON booleans are Python ints, so they are refused by name.)
-CONFIG_TYPES = {"n": int, "depth": int, "trials": int, "seed": int,
-                "tol": float, "format": str, "out": str}
+# Config-file keys: the RunConfig field each one sets and the type its value
+# must have, the type its flag takes (lambda is parsed as its flag is).  The
+# "measure" object has no field; it holds the keys of its own table.
+MEASURE_KEYS = {"kind": ("measure_kind", str), "lambda": ("lam", parse_lambda),
+                "J": ("J", float)}
+CONFIG_KEYS = {"measure": (None, MEASURE_KEYS),
+               **{key: (key, int) for key in ("n", "depth", "trials", "seed")},
+               "tol": ("tol", float), "format": ("format", str), "out": ("out", str)}
 
 
-def _config_value(key: str, value, kind: type):
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise InvalidSpec(f"config key {key!r} needs a {kind.__name__}, got {value!r}")
-    return kind(value)
+def _file_values(doc, keys: dict, where: str) -> dict:
+    """The fields a config-file object sets, each value checked as it is read."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{where} must be a JSON object, got {doc!r}")
+    stray = sorted(set(doc) - keys.keys())
+    if stray:
+        raise InvalidSpec(f"unknown {where} keys: {', '.join(stray)}")
+    values = {}
+    for key, value in doc.items():
+        field, kind = keys[key]
+        if field is None:
+            values.update(_file_values(value, kind, f"config {key!r}"))
+        elif kind is parse_lambda:
+            values[field] = parse_lambda(value)
+        elif isinstance(value, bool) or not isinstance(  # JSON booleans are ints
+                value, (int, float) if kind is float else kind):
+            raise InvalidSpec(f"config key {key!r} needs a {kind.__name__}, got {value!r}")
+        else:
+            values[field] = kind(value)
+    return values
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = RunConfig()
+    values = {}
     if args.config:
         with open(args.config) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise InvalidSpec(f"a config file holds a JSON object, got {doc!r}")
-        known = {"measure"} | CONFIG_TYPES.keys()
-        stray = sorted(set(doc) - known)
-        if stray:
-            raise InvalidSpec(f"unknown config keys: {', '.join(stray)}")
-        if "measure" in doc:
-            measure = doc["measure"]
-            if not isinstance(measure, dict):
-                raise InvalidSpec(f"config 'measure' must be an object, got {measure!r}")
-            stray = sorted(set(measure) - {"kind", "lambda", "J"})
-            if stray:
-                raise InvalidSpec(f"unknown measure keys: {', '.join(stray)}")
-            if "kind" in measure:
-                cfg.measure_kind = measure["kind"]
-                cfg.measure_given = True
-            if "lambda" in measure:
-                cfg.lam = parse_lambda(measure["lambda"])
-                cfg.lam_given = True
-            if "J" in measure:
-                cfg.J = _config_value("J", measure["J"], float)
-                cfg.J_given = True
-        for key, kind in CONFIG_TYPES.items():
-            if key in doc:
-                setattr(cfg, key, _config_value(key, doc[key], kind))
-    if args.measure is not None:
-        cfg.measure_kind = args.measure
-        cfg.measure_given = True
-    if args.lam is not None:
-        cfg.lam = parse_lambda(args.lam)
-        cfg.lam_given = True
-    if args.J is not None:
-        cfg.J = args.J
-        cfg.J_given = True
-    for key in CONFIG_TYPES:
-        val = getattr(args, key)
-        if val is not None:
-            setattr(cfg, key, val)
+            values = _file_values(json.load(fh), CONFIG_KEYS, "config file")
+    for field in fields(RunConfig):
+        flag = getattr(args, field.name, None)
+        if flag is not None:
+            values[field.name] = parse_lambda(flag) if field.name == "lam" else flag
+    cfg = RunConfig(**values, given=frozenset(values))
     cfg.validate()
     kinds = MEASURE_KINDS[args.subcommand]
-    if cfg.measure_given and cfg.measure_kind not in kinds:
+    if "measure_kind" in cfg.given and cfg.measure_kind not in kinds:
         raise InvalidSpec(
             f"{args.subcommand} does not check the {cfg.measure_kind} measure")
     if len(kinds) > 1:  # haar and algebra check the one measure the config names
         kinds = (cfg.measure_kind,)
-    for given, kind, name in ((cfg.lam_given, "bernoulli", "lambda"),
-                              (cfg.J_given, "ising", "J")):
-        if given and kind not in kinds:
+    for field, kind, name in (("lam", "bernoulli", "lambda"), ("J", "ising", "J")):
+        if field in cfg.given and kind not in kinds:
             raise InvalidSpec(
                 f"{args.subcommand} checks no {kind} measure, so it does not read {name}")
     if args.subcommand == "glimm":  # the matrix side runs in float64
@@ -365,7 +351,7 @@ def _one_at(word: FlipWord):
 
 
 def cmd_trace(cfg: RunConfig):
-    lams = [cfg.lam] if cfg.lam_given else list(TRACE_SWEEP)
+    lams = [cfg.lam] if "lam" in cfg.given else list(TRACE_SWEEP)
     rows = []
     failure = None
 
@@ -437,20 +423,20 @@ def cmd_dfs_build(cfg: RunConfig):
     return report, failure
 
 
-def cmd_dfs_check(cfg: RunConfig, table_path: str | None):
-    if table_path:
+def cmd_dfs_check(cfg: RunConfig):
+    if cfg.table:
         try:
-            with open(table_path, encoding="utf-8") as fh:
+            with open(cfg.table, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except ValueError as err:  # not UTF-8, or not JSON
-            raise InvalidSpec(f"{table_path} is not a JSON document: {err}") from err
+            raise InvalidSpec(f"{cfg.table} is not a JSON document: {err}") from err
         # accept a bare table, a report with a table, or a full payload
         if isinstance(doc, dict) and "table" not in doc and "report" in doc:
             doc = doc["report"]
         if isinstance(doc, dict) and "table" in doc:
             doc = doc["table"]
         S = dfs_from_json(doc)
-        source = table_path
+        source = cfg.table
     else:
         S = _random_table(cfg)
         source = "built from config seeds"
@@ -557,6 +543,7 @@ COMMANDS = {
     "glimm": cmd_glimm,
     "trace": cmd_trace,
     "dfs-build": cmd_dfs_build,
+    "dfs-check": cmd_dfs_check,
     "ising-partition": cmd_ising_partition,
     "ising-dynamics": cmd_ising_dynamics,
     "spectrum": cmd_spectrum,
@@ -613,10 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification harness for the bit-flip chain groupoid.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in list(COMMANDS) + ["dfs-check"]:
+    for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} checks")
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--measure", choices=["bernoulli", "ising"])
+        p.add_argument("--measure", dest="measure_kind", choices=["bernoulli", "ising"])
         p.add_argument("--lambda", dest="lam",
                        help="Bernoulli parameter; fractions like 3/10 run exact")
         p.add_argument("--J", type=float, help="Ising coupling")
@@ -627,8 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="pass/fail tolerance")
         p.add_argument("--format", choices=["json", "csv"])
         p.add_argument("--out", help="write the report here instead of stdout")
-        if name == "dfs-check":
-            p.add_argument("table", nargs="?", help="table JSON to verify")
+    sub.choices["dfs-check"].add_argument("table", nargs="?", help="table JSON to verify")
     return parser
 
 
@@ -641,10 +627,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     try:
-        if args.subcommand == "dfs-check":
-            report, failure = cmd_dfs_check(cfg, args.table)
-        else:
-            report, failure = COMMANDS[args.subcommand](cfg)
+        report, failure = COMMANDS[args.subcommand](cfg)
     except (InvariantViolation, NotComposable) as err:
         report = {"error": str(err)}
         failure = {"invariant": str(err), "witness": None}

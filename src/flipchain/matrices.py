@@ -8,9 +8,11 @@ matrix generators into the convolution algebra,
     sigma3 at site k  ->  multiplication by the parity function psi_k.
 
 Site 1 is the first tensor factor, so the matrix row index carries site 1 in
-its most significant bit.  Prefixes keep site 1 in the least significant bit;
-the two sides are never index-matched directly, equality of expectations is
-checked through the state values themselves.
+its most significant bit.  Prefixes keep site 1 in the least significant bit.
+The product state weighs the matrix diagonal, its site axes reversed, by the
+Bernoulli measure's own weight table; otherwise the two sides are never
+index-matched, and equality of expectations is checked through the state
+values themselves.
 
 A Pauli word is a signed permutation matrix, built from its bit masks rather
 than as a Kronecker product: with x the letter-1 sites and z the letter-3
@@ -37,7 +39,7 @@ from .algebra import (
 )
 from .errors import InvalidSpec, SiteOutOfRange
 from .groupoid import e
-from .measures import Bernoulli, CylinderFunction, _cached, _worse
+from .measures import Bernoulli, CylinderFunction, _worse
 from .sampling import rng_for
 
 
@@ -97,9 +99,8 @@ def powers_state(A: np.ndarray, lam) -> complex:
     if not 0 < lam <= 0.5:
         raise InvalidSpec(f"lambda={lam} outside (0, 1/2]")
     n = len(A).bit_length() - 1
-    diag_weights = _cached(("powers", lam, n), lambda: reduce(
-        np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0])))
-    diag_entries = np.diagonal(A)
+    diag_weights = Bernoulli(lam).weight_table(n)
+    diag_entries = np.diagonal(A).reshape((2,) * n).transpose().ravel()
     re = math.fsum(diag_weights * np.real(diag_entries))
     im = math.fsum(diag_weights * np.imag(diag_entries))
     return complex(re, im)

@@ -11,8 +11,8 @@ Two measure families are implemented:
   (``s_k = +1`` for bit 0, ``-1`` for bit 1) and free ends.  The exponent is
   written without a separate inverse temperature; the sign and magnitude of J
   carry it.  The energy difference of a flip, S = H(p ^ w) - H(p), has one
-  table, ``ising_energy_table`` (in units of J): the delta tables e^{-S} and
-  e^{S}, and the energy table, all read it.
+  table, ``ising_energy_table`` (in units of J): the delta table e^{-S} and
+  the energy table both read it.
 
 Cylinder weights at different depths are projectively consistent, so every
 function depending on finitely many sites has a well-defined integral.  Both
@@ -32,6 +32,11 @@ delta tables are multiplied from.  Delta tables themselves depend on the word
 as well, so they are assembled from the cached pieces on every call (also
 read-only).  Exactness is part of the key because ``Bernoulli(0.5) ==
 Bernoulli(Fraction(1, 2))``, yet only the second one computes in rationals.
+
+The inverse delta table is the delta table read across the flip: delta is a
+cocycle, so delta((x, w))**-1 = delta((x ^ w, w)).  Read at x ^ w, each
+Bernoulli site row is the inverse site factor, and the Ising energy changes
+sign, so the gather gives the same bits as a separate inverse build would.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ def _index(depth: int) -> np.ndarray:
 
 def _site_bit(idx: np.ndarray, site: int) -> np.ndarray:
     return (idx >> (site - 1)) & 1
+
+
+def _across_flip(delta: np.ndarray, word: FlipWord, depth: int) -> np.ndarray:
+    """A word's delta table read at x ^ word: the inverse table, by the cocycle law."""
+    return _read_only(delta[_index(depth) ^ word.mask])
 
 
 def _exceeds(dev: float, worst: float) -> bool:
@@ -171,27 +181,6 @@ class CylinderFunction:
         check_depth(depth)
         return CylinderFunction(depth, np.tile(self.values, 1 << (depth - self.depth)))
 
-    def _binary(self, other, op):
-        if isinstance(other, CylinderFunction):
-            d = max(self.depth, other.depth)
-            return CylinderFunction(d, op(self.lift(d).values, other.lift(d).values))
-        return CylinderFunction(self.depth, op(self.values, other))
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __rmul__(self, other):
-        return CylinderFunction(self.depth, other * self.values)
-
-    def __neg__(self):
-        return CylinderFunction(self.depth, -self.values)
-
     def __repr__(self):
         return f"CylinderFunction(depth={self.depth}, values={self.values!r})"
 
@@ -263,7 +252,17 @@ class Bernoulli:
         w0, w1 = self._pair()
         return w1 / w0  # (1 - lam) / lam
 
-    def _delta_table_signed(self, word: FlipWord, depth: int, sign: int) -> np.ndarray:
+    def _ones(self, depth: int) -> np.ndarray:
+        r = self._ratio()
+        return np.full(1 << depth, r / r, dtype=object if self.exact else np.float64)
+
+    def _ratio_row(self, depth: int, site: int) -> np.ndarray:
+        """The factor of one site in the delta table: r where its bit is 1, else 1/r."""
+        r = self._ratio()
+        return np.where(_site_bit(_index(depth), site) == 1, r, 1 / r)
+
+    def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
+        """Modular function ((x, word)) for every depth-`depth` prefix x."""
         if depth < word.horizon:
             raise DepthTooSmall(
                 f"delta for horizon {word.horizon} needs depth >= {word.horizon}"
@@ -271,28 +270,12 @@ class Bernoulli:
         check_depth(depth)
         acc = _cached(self._key("one", depth), lambda: self._ones(depth))
         for k in word.sites:
-            acc = acc * _cached(
-                self._key("ratio", depth, k, sign),
-                lambda: self._ratio_row(depth, k, sign),
-            )
+            acc = acc * _cached(self._key("ratio", depth, k),
+                                lambda: self._ratio_row(depth, k))
         return _read_only(acc)
 
-    def _ones(self, depth: int) -> np.ndarray:
-        r = self._ratio()
-        return np.full(1 << depth, r / r, dtype=object if self.exact else np.float64)
-
-    def _ratio_row(self, depth: int, site: int, sign: int) -> np.ndarray:
-        """The factor of one site in the delta (sign +1) or inverse (-1) table."""
-        r = self._ratio()
-        hi, lo = (r, 1 / r) if sign > 0 else (1 / r, r)
-        return np.where(_site_bit(_index(depth), site) == 1, hi, lo)
-
-    def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        """Modular function ((x, word)) for every depth-`depth` prefix x."""
-        return self._delta_table_signed(word, depth, +1)
-
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return self._delta_table_signed(word, depth, -1)
+        return _across_flip(self.delta_table(word, depth), word, depth)
 
     def to_json(self) -> dict:
         lam = str(self.lam) if self.exact else float(self.lam)
@@ -373,7 +356,7 @@ class IsingBoltzmann:
         return _read_only(np.exp(-self.J * ising_energy_table(word, depth)))
 
     def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
-        return _read_only(np.exp(self.J * ising_energy_table(word, depth)))
+        return _across_flip(self.delta_table(word, depth), word, depth)
 
     def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """The transition energy S = -log delta = H(x ^ w) - H(x)."""

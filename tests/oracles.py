@@ -2,12 +2,14 @@
 
 Each one recomputes a quantity site by site, sharing no table with the
 package: the Bernoulli cylinder weight and modular function of one prefix,
-and a Pauli word as the Kronecker product of its one-site matrices.  The
-convolution algebra's kernels get their one-trial, word-by-word definitions
-below.
+a Pauli word as the Kronecker product of its one-site matrices, the inverse
+modular tables built directly (the package reads them across the flip) and
+the product-state diagonal as a Kronecker product.  The convolution
+algebra's kernels get their one-trial, word-by-word definitions below.
 """
 
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -35,6 +37,32 @@ def bernoulli_delta(lam, g):
     for k in g.flips.sites:
         out = out * (r if g.point.bit(k) else 1 / r)
     return out
+
+
+def bernoulli_delta_inv_table(lam, word, depth: int) -> np.ndarray:
+    """The inverse modular table of one word, built directly: a table of ones
+    times, per flipped site k in ascending order, 1/r where x_k = 1 and r
+    where x_k = 0, with r = (1 - lam) / lam."""
+    exact = isinstance(lam, Fraction)
+    r = ((Fraction(1) if exact else 1.0) - lam) / lam
+    idx = np.arange(1 << depth)
+    acc = np.full(1 << depth, r / r, dtype=object if exact else np.float64)
+    for k in word.sites:
+        acc = acc * np.where((idx >> (k - 1)) & 1 == 1, 1 / r, r)
+    return acc
+
+
+def ising_delta_inv_table(J, word, depth: int) -> np.ndarray:
+    """exp(J * E) with E(x) = C(x) - C(x ^ w), C the bond sum of the spins."""
+    idx = np.arange(1 << depth)
+    spins = [1 - 2 * ((idx >> k) & 1) for k in range(depth)]
+    c = sum((a * b for a, b in zip(spins, spins[1:])), np.zeros(1 << depth, dtype=np.int64))
+    return np.exp(J * (c - c[idx ^ word.mask]))
+
+
+def product_state_diagonal(lam: float, n: int) -> np.ndarray:
+    """The diagonal of diag(lam, 1 - lam) tensored n times, site 1 first."""
+    return reduce(np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0]))
 
 
 def kron_oracle(w, n: int) -> np.ndarray:

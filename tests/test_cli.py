@@ -341,6 +341,12 @@ def test_glimm_echoes_the_float_lambda_it_runs(capsys, lam):
     assert doc["config"]["lambda"] == doc["report"]["lambda"] == 0.3
 
 
+@pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+def test_signed_64_bit_seed_range_is_accepted(capsys, seed):
+    code, doc = run_json(capsys, "glimm", "--n", "1", "--trials", "1", "--seed", str(seed))
+    assert code == 0 and doc["config"]["seed"] == seed
+
+
 def test_config_file_rejects_stray_keys(tmp_path):
     # a misplaced key must not be dropped silently
     flat = tmp_path / "flat.json"
@@ -391,6 +397,11 @@ NON_FINITE_INPUTS = {
     "n 0, ising-partition": (["ising-partition", "--n", "0"], None),
     "lambda 1/0": (["haar", "--lambda", "1/0"], None),
     "lambda 1/0 in a config file": (["haar"], {"measure": {"lambda": "1/0"}}),
+    # trial seeds hash the master seed as a signed 64-bit integer
+    "seed 10**20": (["algebra", "--trials", "2", "--seed", str(10**20)], None),
+    "seed 2**63, dfs-build": (["dfs-build", "--seed", str(2**63)], None),
+    "seed -2**63 - 1, glimm": (["glimm", "--seed", str(-2**63 - 1)], None),
+    "seed 10**20 in a config file": (["algebra", "--trials", "2"], {"seed": 10**20}),
 }
 
 

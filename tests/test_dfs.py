@@ -173,7 +173,7 @@ def test_check_catches_corruption():
 def test_extend_validates_input():
     S = build_random(2, 4)
     entries = dict(S.entries)
-    entries[e(2)] = entries[e(2)] + CylinderFunction.constant(1.0, 4)
+    entries[e(2)] = CylinderFunction(4, entries[e(2)].values + 1.0)
     broken = DfsTable(2, entries, 4)
     with pytest.raises(InvariantViolation):
         dfs_seed_extend(broken, CylinderFunction.constant(0.0, 4))
@@ -282,7 +282,7 @@ def test_is_exact_reconstructs_gauge_potential():
 def test_is_exact_rejects_non_cocycle():
     S = build_random(2, 4, master=47)
     entries = dict(S.entries)
-    entries[e(1)] = entries[e(1)] + CylinderFunction.psi(2, 4)
+    entries[e(1)] = CylinderFunction(4, entries[e(1)].values + CylinderFunction.psi(2, 4).values)
     assert is_exact(DfsTable(2, entries, 4)) is None
 
 

@@ -27,7 +27,7 @@ from flipchain import (
     rng_for,
     unit,
 )
-from oracles import ID2, SIGMA1, SIGMA3, kron_oracle
+from oracles import ID2, SIGMA1, SIGMA3, kron_oracle, product_state_diagonal
 
 
 def test_pauli_operator_factor_order():
@@ -59,6 +59,15 @@ def test_powers_state_bits_equal_kron_diagonal(n):
             diag = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             want = complex(math.fsum(weights * diag.real), math.fsum(weights * diag.imag))
             assert powers_state(np.diag(diag), lam) == want
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_powers_state_weights_equal_kron_diagonal(n):
+    # on a one-entry diagonal the expectation is that entry's weight itself
+    for lam in (0.1, 0.3, 0.5):
+        got = np.array([powers_state(np.diag(row), lam) for row in np.eye(1 << n)])
+        assert not got.imag.any()
+        assert got.real.tobytes() == product_state_diagonal(lam, n).tobytes()
 
 
 def test_glimm_map_memo_keeps_exact_and_float_apart():

@@ -29,7 +29,12 @@ from flipchain import (
     translation_covariance_check,
 )
 from flipchain import cli, measures
-from oracles import bernoulli_delta, bernoulli_weight
+from oracles import (
+    bernoulli_delta,
+    bernoulli_delta_inv_table,
+    bernoulli_weight,
+    ising_delta_inv_table,
+)
 
 LAM = Fraction(3, 10)
 
@@ -62,16 +67,6 @@ def test_cylinder_eval_uses_low_bits():
 def test_cylinder_shape_guard():
     with pytest.raises(ValueError):
         CylinderFunction(2, np.zeros(3))
-
-
-def test_cylinder_arithmetic_lifts():
-    f = CylinderFunction(1, np.array([1.0, 2.0]))
-    g = CylinderFunction.psi(2, 2)
-    h = f + g
-    assert h.depth == 2
-    assert list(h.values) == [2.0, 3.0, 0.0, 1.0]
-    assert list((2 * f).values) == [2.0, 4.0]
-    assert list((-f).values) == [-1.0, -2.0]
 
 
 def test_exact_constant():
@@ -393,3 +388,33 @@ def test_max_abs_equals_max_of_abs(monkeypatch, arr):
         # a real input is folded from its extremes, never copied as |arr|
         monkeypatch.setattr(np, "abs", lambda *a, **k: pytest.fail("np.abs called"))
     assert repr(measures._max_abs(arr)) == repr(want)  # NaN is NaN, 0.0 is not -0.0
+
+
+def _same_bits(got, want) -> bool:
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if got.dtype == object:  # exact rationals: equal values are equal numbers
+        return got.tolist() == want.tolist()
+    return got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    Bernoulli(0.3), Bernoulli(0.1), Bernoulli(0.7), Bernoulli(LAM),
+    IsingBoltzmann(1.0), IsingBoltzmann(2), IsingBoltzmann(-0.7), IsingBoltzmann(0.0),
+    IsingBoltzmann(-0.0), IsingBoltzmann(1e-300),
+    IsingBoltzmann(700.0),  # tables that overflow to inf and underflow to 0
+], ids=repr)
+def test_delta_inv_table_bits_equal_direct_build(spec):
+    # the package reads the inverse table across the flip, delta(x ^ w, w)
+    if isinstance(spec, Bernoulli):
+        def oracle(w, d):
+            return bernoulli_delta_inv_table(spec.lam, w, d)
+    else:
+        def oracle(w, d):
+            return ising_delta_inv_table(spec.J, w, d)
+    with np.errstate(over="ignore"):
+        for depth in range(11):
+            for mask in range(1 << min(depth, 5)):
+                w = FlipWord(mask)
+                if depth >= spec.min_delta_depth(w):
+                    assert _same_bits(spec.delta_inv_table(w, depth), oracle(w, depth)), (w, depth)

@@ -5,8 +5,9 @@ independent oracle, and the oracles live in tests/.  A public module-level
 function or class, or a public method or property, whose name appears
 nowhere in src/flipchain except in its own definition and in __init__.py is
 dead surface.  It fails here unless KEEP names the caller outside src/ that
-needs it.  A private module-level function or constant that no live code
-in the package reads is dead code, and fails with no KEEP exception.
+needs it.  A private module-level function or constant, or a private method
+of a class, that no live code in the package reads is dead code, and fails
+with no KEEP exception.
 
 Names are matched, not resolved: a method counts as used when an attribute
 of that name is read anywhere in the package, so a dead method that shares
@@ -49,7 +50,7 @@ def _surface():
 
 
 def _private_names(node) -> list:
-    """The private names a module-level statement defines as a function or constant."""
+    """The private names a statement defines as a function or constant."""
     if isinstance(node, ast.FunctionDef):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -60,28 +61,43 @@ def _private_names(node) -> list:
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
+def _reads(nodes) -> set:
+    """The names the nodes read, as a name or an attribute."""
+    reads = set()
+    for sub in (sub for node in nodes for sub in ast.walk(node)):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            reads.add(sub.attr)
+    return reads
+
+
+def _statements(path):
+    """(qualified private names defined, names read) of every module-level
+    statement; a class counts as its header and each statement of its body."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            yield [], _reads(node.decorator_list + node.bases + node.keywords)
+            for item in node.body:
+                names = _private_names(item)
+                yield [f"{path.stem}.{node.name}.{n}" for n in names], _reads([item])
+        else:
+            yield [f"{path.stem}.{n}" for n in _private_names(node)], _reads([node])
+
+
 def _dead_private():
-    """module.name of every private module-level function and constant that
-    no live statement outside __init__.py reads, as a name or an attribute.
-    A statement that defines only dead names is not live, so a helper read
-    only by dead helpers is dead too."""
-    statements = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text()).body:
-            reads = set()
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    reads.add(sub.id)
-                elif isinstance(sub, ast.Attribute):
-                    reads.add(sub.attr)
-            statements.append(([f"{path.stem}.{n}" for n in _private_names(node)], reads))
+    """module.name (module.Class.name for a method) of every private function,
+    constant and method that no live statement outside __init__.py reads, as
+    a name or an attribute.  A statement that defines only dead names is not
+    live, so a helper read only by dead helpers is dead too."""
+    statements = [s for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+                  for s in _statements(path)]
     dead = set()
     while True:
         read = set().union(*(reads for defined, reads in statements
                              if not defined or not dead.issuperset(defined)))
-        now = {q for defined, _ in statements for q in defined if q.split(".")[1] not in read}
+        now = {q for defined, _ in statements for q in defined
+               if q.rsplit(".", 1)[1] not in read}
         if now == dead:
             return dead
         dead = now
