@@ -74,7 +74,7 @@ from .ising import (
 from .matrices import (
     PauliWord,
     glimm_map,
-    gns_compare_random,
+    gns_deviation,
     pauli_operator,
     powers_state,
     random_pauli_word,

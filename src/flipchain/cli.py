@@ -48,7 +48,7 @@ from .ising import (
     heisenberg_equivalence_check,
     modular_spectrum_points,
 )
-from .matrices import gns_compare_random
+from .matrices import gns_deviation
 from .measures import (
     Bernoulli,
     CylinderFunction,
@@ -234,17 +234,34 @@ def cmd_haar(cfg: RunConfig):
 
 
 # Randomized subcommands check their trials in chunks of at most this many
-# table entries (trials times 2**depth, at least one trial), each chunk one
-# batch per drawn element.  Trial i still draws from rng_for(seed, i), and the
-# reports do not depend on the chunk size: it trades Python overhead against
-# the size of the working set.
+# table entries (trials times 2**depth, at least one trial): algebra and trace
+# as one batch per drawn element, glimm and ising-dynamics one trial at a
+# time.  Trial i still draws from rng_for(seed, i), and the reports do not
+# depend on the chunk size: it trades Python overhead against the size of the
+# working set.
 CHUNK_ENTRIES = 1 << 9
 
 
-def _chunks(cfg: RunConfig):
+def _chunks(cfg: RunConfig, count: int):
     size = max(1, CHUNK_ENTRIES >> cfg.depth)
-    for start in range(0, cfg.trials, size):
-        yield range(start, min(start + size, cfg.trials))
+    for start in range(0, count, size):
+        yield range(start, min(start + size, count))
+
+
+def _run_trials(cfg: RunConfig, check, count=None):
+    """Worst deviation per check over trials 0..count-1, and its witness trial.
+
+    check(trials) gives one {check: deviation} per trial of a chunk, keys in
+    report order; count defaults to cfg.trials.
+    """
+    return worst_by_check(
+        row for trials in _chunks(cfg, cfg.trials if count is None else count)
+        for row in zip(trials, check(trials)))
+
+
+def _draw(rng, depth: int, n: int, *words):
+    """One random element per word count, drawn from rng in that order."""
+    return [random_algebra_element(rng, depth, k, horizon=n) for k in words]
 
 
 def _batches(draws):
@@ -257,11 +274,7 @@ def cmd_algebra(cfg: RunConfig):
 
     def draw(i):
         rng = rng_for(cfg.seed, i)
-        F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        H = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        psi = random_algebra_element(rng, cfg.depth, 2, horizon=cfg.n)
-        return (F, G, H, psi), random_word(rng, cfg.n) or e(1)
+        return _draw(rng, cfg.depth, cfg.n, 3, 3, 3, 2), random_word(rng, cfg.n) or e(1)
 
     def chunk(trials):
         elements, words = zip(*map(draw, trials))
@@ -296,10 +309,9 @@ def cmd_algebra(cfg: RunConfig):
                                             hahn_norm(F, spec), l2_norm(psi, spec))
             ],
         }
-        return [(i, dict(zip(checks, devs))) for i, devs in zip(trials, zip(*checks.values()))]
+        return [dict(zip(checks, devs)) for devs in zip(*checks.values())]
 
-    devs, witness = worst_by_check(
-        row for trials in _chunks(cfg) for row in chunk(trials))
+    devs, witness = _run_trials(cfg, chunk)
     report = {
         "measure": spec.to_json(),
         "n": cfg.n,
@@ -315,12 +327,23 @@ def cmd_algebra(cfg: RunConfig):
 
 
 def cmd_glimm(cfg: RunConfig):
-    report = gns_compare_random(cfg.n, cfg.trials, cfg.lam, cfg.seed)
+    if not 1 <= cfg.n <= 8:
+        raise InvalidSpec(f"n={cfg.n} outside 1..8 for dense 2**n matrices")
+    spec = cfg.spec()
+
+    def check(trials):
+        return [{"state": gns_deviation(rng_for(cfg.seed, i), cfg.n, spec)} for i in trials]
+
+    worst = _run_trials(cfg, check)[0]["state"]
+    report = {
+        "n": cfg.n,
+        "lambda": cfg.lam,
+        "trials": cfg.trials,
+        "max_abs_deviation": worst,
+        "seed": cfg.seed,
+    }
     failure = _first_failure(cfg.tol, (
-        "state equality between matrix and groupoid sides",
-        report["max_abs_deviation"],
-        {"seed": cfg.seed},
-    ))
+        "state equality between matrix and groupoid sides", worst, {"seed": cfg.seed}))
     return report, failure
 
 
@@ -355,23 +378,16 @@ def cmd_trace(cfg: RunConfig):
     rows = []
     failure = None
 
-    def draw(i):
-        rng = rng_for(cfg.seed, i)
-        F = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        G = random_algebra_element(rng, cfg.depth, 3, horizon=cfg.n)
-        return F, G
-
     def commutators(trials, spec):
-        F, G = _batches(map(draw, trials))
+        F, G = _batches(_draw(rng_for(cfg.seed, i), cfg.depth, cfg.n, 3, 3) for i in trials)
         forward = canonical_weight(convolve(F, G), spec)
         backward = canonical_weight(convolve(G, F), spec)
-        return [abs(complex(f) - complex(b)) for f, b in zip(forward, backward)]
+        return [{"commutator": abs(complex(f) - complex(b))} for f, b in zip(forward, backward)]
 
     for lam in lams:
         spec = Bernoulli(lam)
         if float(lam) == 0.5:
-            worst = reduce(_worse, (dev for trials in _chunks(cfg)
-                                    for dev in commutators(trials, spec)), 0.0)
+            worst = _run_trials(cfg, lambda trials: commutators(trials, spec))[0]["commutator"]
             row = {
                 "lambda": float(lam),
                 "mode": "tracial",
@@ -461,10 +477,11 @@ def cmd_ising_dynamics(cfg: RunConfig):
     spec = IsingBoltzmann(cfg.J)
     broken = NonCocyclePerturbation(spec)
 
-    def flow(i, t):
-        rng = rng_for(cfg.seed, i)
-        F = random_algebra_element(rng, depth, 3, horizon=cfg.n)
-        psi = random_algebra_element(rng, depth, 2, horizon=cfg.n)
+    runs, broken_devs = [], []  # per trial, beside the fold
+
+    def flow(i):
+        F, psi = _draw(rng_for(cfg.seed, i), depth, cfg.n, 3, 2)
+        t = DYNAMICS_TIMES[i]
         rep = heisenberg_equivalence_check(F, psi, t, spec)
         # The defect of the broken energy lives on products whose factors
         # both touch site 1; pin such words so the control cannot pass by a
@@ -472,22 +489,23 @@ def cmd_ising_dynamics(cfg: RunConfig):
         Fb = F + _one_at(e(1))
         psib = psi + _one_at(e(1))
         perturbed = heisenberg_equivalence_check(Fb, psib, t, spec, energy=broken)
-        return rep, perturbed["max_deviation"]
+        runs.append(rep)
+        broken_devs.append(perturbed["max_deviation"])
+        return {
+            "max_deviation": rep["max_deviation"],
+            "max_norm_drift": _worse(
+                abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
+                abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
+            ),
+        }
 
-    runs, broken_devs = zip(*(flow(i, t) for i, t in enumerate(DYNAMICS_TIMES)))
-    worst, _ = worst_by_check((rep["t"], {
-        "max_deviation": rep["max_deviation"],
-        "max_norm_drift": _worse(
-            abs(rep["norms_before"]["l2"] - rep["norms_after"]["l2"]),
-            abs(rep["norms_before"]["hahn"] - rep["norms_after"]["hahn"]),
-        ),
-    }) for rep in runs)
+    worst, _ = _run_trials(cfg, lambda trials: list(map(flow, trials)), len(DYNAMICS_TIMES))
     broken_min = float(np.min(broken_devs))  # NaN if any is, unlike min()
     report = {
         "J": cfg.J,
         "times": list(DYNAMICS_TIMES),
         "seed": cfg.seed,
-        "runs": list(runs),
+        "runs": runs,
         **worst,  # max_deviation and max_norm_drift
         "non_cocycle_min_deviation": broken_min,
     }

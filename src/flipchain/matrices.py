@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -39,8 +38,7 @@ from .algebra import (
 )
 from .errors import InvalidSpec, SiteOutOfRange
 from .groupoid import e
-from .measures import Bernoulli, CylinderFunction, _worse
-from .sampling import rng_for
+from .measures import Bernoulli, CylinderFunction
 
 
 @dataclass(frozen=True)
@@ -146,44 +144,28 @@ def random_pauli_word(rng: np.random.Generator, n: int) -> PauliWord:
     return PauliWord(tuple(letters))
 
 
-def gns_compare_random(n: int, trials: int, lam, seed: int) -> dict:
-    """Randomized two-sided comparison of the two state evaluations.
+def gns_deviation(rng: np.random.Generator, n: int, spec: Bernoulli) -> float:
+    """One randomized comparison of the two state evaluations.
 
-    Each trial draws a complex combination of Pauli-word products (including
+    Draws a complex combination of Pauli-word products (including
     sigma2-style i * sigma1 sigma3 pairs at a random site), evaluates the
     product state on the dense side and the cyclic-vector weight on the
-    algebra side, and records the absolute deviation.
+    algebra side, and returns their absolute deviation.
     """
-    if not 1 <= n <= 8:
-        raise InvalidSpec(f"n={n} outside 1..8 for dense 2**n matrices")
-    lam = float(lam)
-    spec = Bernoulli(lam)
-
-    def deviation(i):
-        rng = rng_for(seed, i)
-        M = np.zeros((1 << n, 1 << n), dtype=complex)
-        F = AlgebraElement({})
-        for _ in range(int(rng.integers(1, 4))):
-            c = complex(rng.standard_normal(), rng.standard_normal())
-            words = [random_pauli_word(rng, n)]
-            if int(rng.integers(0, 2)):
-                k = int(rng.integers(1, n + 1))
-                c *= 1j
-                words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
-            term_m = np.eye(1 << n)
-            term_a = unit()
-            for word in words:
-                term_m = term_m @ pauli_operator(word, n)
-                term_a = convolve(term_a, glimm_map(word, spec))
-            M = M + c * term_m
-            F = F + c * term_a
-        return abs(complex(canonical_weight(F, spec)) - powers_state(M, lam))
-
-    worst = reduce(_worse, map(deviation, range(trials)), 0.0)
-    return {
-        "n": n,
-        "lambda": lam,
-        "trials": trials,
-        "max_abs_deviation": worst,
-        "seed": seed,
-    }
+    M = np.zeros((1 << n, 1 << n), dtype=complex)
+    F = AlgebraElement({})
+    for _ in range(int(rng.integers(1, 4))):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        words = [random_pauli_word(rng, n)]
+        if int(rng.integers(0, 2)):
+            k = int(rng.integers(1, n + 1))
+            c *= 1j
+            words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
+        term_m = np.eye(1 << n)
+        term_a = unit()
+        for word in words:
+            term_m = term_m @ pauli_operator(word, n)
+            term_a = convolve(term_a, glimm_map(word, spec))
+        M = M + c * term_m
+        F = F + c * term_a
+    return abs(complex(canonical_weight(F, spec)) - powers_state(M, spec.lam))

@@ -143,18 +143,12 @@ class CylinderFunction:
     @classmethod
     def constant(cls, value, depth: int = 0) -> "CylinderFunction":
         if isinstance(value, Fraction):
-            arr = np.full(1 << depth, value, dtype=object)
-        elif isinstance(value, complex):
-            arr = np.full(1 << depth, value, dtype=np.complex128)
-        else:
-            arr = np.full(1 << depth, float(value))
-        return cls(depth, arr)
+            return cls(depth, np.full(1 << depth, value, dtype=object))
+        return cls(depth, np.full(1 << depth, float(value)))
 
     @classmethod
-    def zero(cls, depth: int, dtype=np.float64) -> "CylinderFunction":
-        if dtype is object:
-            return cls(depth, np.zeros(1 << depth, dtype=object) + Fraction(0))
-        return cls(depth, np.zeros(1 << depth, dtype=dtype))
+    def zero(cls, depth: int) -> "CylinderFunction":
+        return cls(depth, np.zeros(1 << depth))
 
     @classmethod
     def psi(cls, k: int, depth: int, exact: bool = False) -> "CylinderFunction":

@@ -32,7 +32,7 @@ from flipchain import (
     dfs_build,
     dfs_check,
     e,
-    gns_compare_random,
+    gns_deviation,
     hahn_norm,
     heisenberg_equivalence_check,
     integrate,
@@ -169,8 +169,8 @@ def test_criterion_06_matrix_state_agreement():
     inside ten seconds."""
     t0 = time.perf_counter()
     for lam in (0.5, 0.3):
-        rep = gns_compare_random(6, 100, lam, seed=11)
-        assert rep["max_abs_deviation"] < 1e-10
+        spec = Bernoulli(lam)
+        assert all(gns_deviation(rng_for(11, i), 6, spec) < 1e-10 for i in range(100))
     assert time.perf_counter() - t0 < 10.0
 
 

@@ -425,13 +425,23 @@ def test_algebra_report_names_the_nan_trial(monkeypatch, capsys):
         "polar_decomposition", "bound_violation"}
 
 
-@pytest.mark.parametrize("argv", ["algebra --trials 7", "trace --trials 7"])
+# argv -> exit status; every subcommand that folds trials runs them in chunks
+CHUNKED_RUNS = {
+    "algebra --trials 7": 0,
+    "trace --trials 7": 0,
+    "algebra --tol 1e-30 --trials 7": 1,  # the witness trial too
+    "glimm --trials 7": 0,
+    "ising-dynamics": 0,
+}
+
+
+@pytest.mark.parametrize("argv", CHUNKED_RUNS)
 def test_reports_do_not_depend_on_the_chunking(monkeypatch, capsys, argv):
     reports = {}
     # one trial per chunk, chunks of three with a ragged last one, one chunk
     for per_chunk, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
         monkeypatch.setattr(cli, "CHUNK_ENTRIES", per_chunk << 6)
-        assert [len(c) for c in cli._chunks(cli.RunConfig(trials=7))] == sizes
-        assert cli.main(argv.split()) == 0
+        assert [len(c) for c in cli._chunks(cli.RunConfig(), 7)] == sizes
+        assert cli.main(argv.split()) == CHUNKED_RUNS[argv]
         reports[per_chunk] = capsys.readouterr().out
     assert reports[1] == reports[3] == reports[7]

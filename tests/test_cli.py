@@ -9,6 +9,7 @@ import pytest
 from flipchain import cli, dfs
 from flipchain.cli import main
 from flipchain.groupoid import FlipWord
+from flipchain.ising import NonCocyclePerturbation
 
 
 def run(capsys, *argv):
@@ -155,6 +156,21 @@ def test_ising_dynamics(capsys):
     assert rep["max_norm_drift"] < 1e-12
     assert rep["non_cocycle_min_deviation"] > 1e-3
     assert len(rep["runs"]) == 3
+
+
+def test_ising_dynamics_failure_records(monkeypatch, capsys):
+    # an unreachable tolerance fails the flow check, the first in report order
+    code, doc = run_json(capsys, "ising-dynamics", "--tol", "1e-30")
+    assert code == 1
+    assert doc["failure"]["invariant"] == "phase flow equals conjugated product"
+    # a control with nothing broken keeps the equivalence, and must fail the run
+    monkeypatch.setattr(cli, "NonCocyclePerturbation",
+                        lambda base: NonCocyclePerturbation(base, amplitude=0.0))
+    code, doc = run_json(capsys, "ising-dynamics")
+    assert code == 1
+    assert doc["failure"]["invariant"] == (
+        "non-cocycle control must visibly break the equivalence")
+    assert doc["failure"]["witness"]["non_cocycle_min_deviation"] < 1e-3
 
 
 def test_dfs_build_check_roundtrip(tmp_path, capsys):
@@ -394,6 +410,9 @@ NON_FINITE_INPUTS = {
         "haar", "algebra", "spectrum", "glimm", "trace", "ising-dynamics",
         "axioms", "dfs-build", "dfs-check", "ising-partition")},
     "n 0, glimm": (["glimm", "--n", "0"], None),
+    "n 9, glimm": (["glimm", "--n", "9"], None),
+    "lambda 0.7, glimm": (["glimm", "--lambda", "0.7"], None),
+    "measure kind potts in a config file": (["haar"], {"measure": {"kind": "potts"}}),
     "n 0, ising-partition": (["ising-partition", "--n", "0"], None),
     "lambda 1/0": (["haar", "--lambda", "1/0"], None),
     "lambda 1/0 in a config file": (["haar"], {"measure": {"lambda": "1/0"}}),

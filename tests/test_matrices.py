@@ -17,7 +17,7 @@ from flipchain import (
     convolve,
     e,
     glimm_map,
-    gns_compare_random,
+    gns_deviation,
     max_abs_diff,
     pauli_operator,
     powers_state,
@@ -164,14 +164,10 @@ def test_gns_matches_powers_state_on_words():
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
 
-def test_gns_compare_random_report():
-    rep = gns_compare_random(3, 20, 0.3, seed=5)
-    assert rep["max_abs_deviation"] < 1e-12
-    assert rep["trials"] == 20 and rep["n"] == 3 and rep["seed"] == 5
-    rep_half = gns_compare_random(3, 10, 0.5, seed=5)
-    assert rep_half["max_abs_deviation"] < 1e-12
-    with pytest.raises(InvalidSpec):
-        gns_compare_random(9, 1, 0.3, seed=0)
+def test_gns_deviation_one_trial():
+    for lam, trials in ((0.3, 20), (0.5, 10)):
+        spec = Bernoulli(lam)
+        assert all(gns_deviation(rng_for(5, i), 3, spec) < 1e-12 for i in range(trials))
 
 
 def test_random_pauli_word_reproducible():

@@ -14,9 +14,9 @@ elementwise float arithmetic and square roots, which IEEE 754 rounds
 correctly everywhere, and exact Fractions, so the digests hold on any
 machine.  Between them they cover the passing verdict of each of the
 algebra, haar, trace, glimm, axioms, dfs-build and dfs-check paths, the
-exact Fraction path, and one failure record; the larger algebra and trace
-configs run their trials in several chunks.  All run in well under a
-second.  COCHAIN_DIGEST pins the benchmark's library
+exact Fraction path, and the failure records of algebra, trace and glimm;
+the larger algebra and trace configs run their trials in several chunks.
+All run in well under a second.  COCHAIN_DIGEST pins the benchmark's library
 `cochain` operation (cochain_delta and is_exact) the same way.
 """
 
@@ -70,6 +70,11 @@ DIGESTS = {
         (0, "9f51da8abbfa7356eac53a6edac3113174755769041e221c2533b55bbdd22bf8"),
     "trace --trials 100":
         (0, "ca17dfb19351809e347476e14f7a13a92f8c56253664f97c3c2ff79029cd3082"),
+    # the failure records of the other two subcommands that fold trials
+    "trace --tol 1e-30 --trials 9":
+        (1, "339f64b33caf72fc6d42f203c38e99a9ffe990405e1fc2f6f889626097619fd2"),
+    "glimm --tol 1e-30 --trials 9":
+        (1, "6420e6d43e1c8a407de818845197239dd6947567379003c3c9d3865d5511574b"),
 }
 
 COCHAIN_DIGEST = "8dd6ebed85a62e1711b9e3e4702c6f1541f1707aa2acc67b636cbdc574582cf6"
