@@ -3,9 +3,9 @@
 Two measure families are implemented:
 
 * ``Bernoulli(lam)``: the product measure with per-site weights
-  (lam for outcome 0, 1-lam for outcome 1).  With ``lam`` given as a
-  ``fractions.Fraction`` every weight, integral and modular-function value is
-  computed in exact rational arithmetic.
+  (lam for outcome 0, 1-lam for outcome 1).  A ``fractions.Fraction`` lam = a/q
+  makes every table exact: weight a**(D-|x|) b**|x| / q**D, with b = q - a,
+  and delta b**2k a**2(m-k) / (ab)**m for an m-site word with k ones in x.
 * ``IsingBoltzmann(J)``: the nearest-neighbour Boltzmann measure at depth D,
   weight ``exp(H_D(p)) / Z_D`` with ``H_D(p) = -J * sum_k s_k s_{k+1}``
   (``s_k = +1`` for bit 0, ``-1`` for bit 1) and free ends.  The exponent is
@@ -22,16 +22,16 @@ function: ``weight(p ^ w) = weight(p) / delta((p, w))``.
 Each measure owns the generator of its modular flow (``ising.tt_evolve``),
 the transition energy S = -log delta, as ``energy_table``: delta = e^{-S} for
 both families.  The Bernoulli energy is ``step * -k`` on the integer index k
-of ``lattice_table``; its delta tables stay per-site products, because deltas
-built as ratio**k would round differently.
+of ``lattice_table``.  Exact tables are gathers by popcount of their few
+distinct values, and the exact checks compare the integer numerators over
+one denominator.  Float delta tables stay per-site products, because deltas
+gathered or built as ratio**k would round differently.
 
 Tables are built once per process for each (measure kind, exactness,
 parameter, depth) and returned read-only: the weight tables, the Ising bond
-coefficients, the prefix index and the per-site Bernoulli ratio rows that the
-delta tables are multiplied from.  Delta tables themselves depend on the word
-as well, so they are assembled from the cached pieces on every call (also
-read-only).  Exactness is part of the key because ``Bernoulli(0.5) ==
-Bernoulli(Fraction(1, 2))``, yet only the second one computes in rationals.
+coefficients, the prefix index and the float Bernoulli ratio rows.  Delta
+tables depend on the word, so each call assembles its own (read-only).
+Exactness is in the key, since ``Bernoulli(0.5) == Bernoulli(Fraction(1, 2))``.
 
 The inverse delta table is the delta table read across the flip: delta is a
 cocycle, so delta((x, w))**-1 = delta((x ^ w, w)).  Read at x ^ w, each
@@ -202,20 +202,31 @@ class Bernoulli:
         # the parameter's type carries the exactness: 0.5 == Fraction(1, 2)
         return (self.kind, type(self.lam), self.lam) + rest
 
-    def _pair(self):
-        one = Fraction(1) if self.exact else 1.0
-        return self.lam, one - self.lam
+    def _ints(self, depth: int, word: FlipWord | None = None) -> tuple[list, int, np.ndarray]:
+        """The exact weight (no word) or delta table as its distinct numerators
+        x**(m-j) y**j, their denominator and each prefix's popcount j."""
+        a, q = self.lam.as_integer_ratio()
+        b = q - a
+        x, y, base, m, mask = ((a, b, q, depth, -1) if word is None else
+                               (a * a, b * b, a * b, word.mask.bit_count(), word.mask))
+        return ([x ** (m - j) * y ** j for j in range(m + 1)], base ** m,
+                np.bitwise_count(_index(depth) & mask))
+
+    def _fractions(self, depth: int, word: FlipWord | None = None) -> np.ndarray:
+        row, den, counts = self._ints(depth, word)
+        return _read_only(np.array([Fraction(n, den) for n in row], dtype=object)[counts])
 
     def weight_table(self, depth: int) -> np.ndarray:
         check_depth(depth)
         return _cached(self._key("weight", depth), lambda: self._weights(depth))
 
     def _weights(self, depth: int) -> np.ndarray:
-        w0, w1 = self._pair()
-        dtype = object if self.exact else np.float64
+        if self.exact:
+            return self._fractions(depth)
+        w0, w1 = self.lam, 1.0 - self.lam
         if depth == 0:
-            return np.array([w0 + w1], dtype=dtype)  # the single weight 1
-        site = np.array([w0, w1], dtype=dtype)
+            return np.array([w0 + w1])  # the single weight 1
+        site = np.array([w0, w1])
         # site k is bit k-1, so later sites occupy more significant bits.
         return reduce(lambda acc, _: np.kron(site, acc), range(depth - 1), site)
 
@@ -242,17 +253,9 @@ class Bernoulli:
         """The transition energy S = -log delta = step * -k."""
         return self.step * -self.lattice_table(word, depth)
 
-    def _ratio(self):
-        w0, w1 = self._pair()
-        return w1 / w0  # (1 - lam) / lam
-
-    def _ones(self, depth: int) -> np.ndarray:
-        r = self._ratio()
-        return np.full(1 << depth, r / r, dtype=object if self.exact else np.float64)
-
     def _ratio_row(self, depth: int, site: int) -> np.ndarray:
         """The factor of one site in the delta table: r where its bit is 1, else 1/r."""
-        r = self._ratio()
+        r = (1.0 - self.lam) / self.lam
         return np.where(_site_bit(_index(depth), site) == 1, r, 1 / r)
 
     def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
@@ -262,7 +265,9 @@ class Bernoulli:
                 f"delta for horizon {word.horizon} needs depth >= {word.horizon}"
             )
         check_depth(depth)
-        acc = _cached(self._key("one", depth), lambda: self._ones(depth))
+        if self.exact:
+            return self._fractions(depth, word)
+        acc = _cached(("ones", depth), lambda: np.ones(1 << depth))
         for k in word.sites:
             acc = acc * _cached(self._key("ratio", depth, k),
                                 lambda: self._ratio_row(depth, k))
@@ -477,23 +482,32 @@ def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     }
 
 
+def _numerators(spec: MeasureSpec, depth: int, word: FlipWord | None = None):
+    """The weight (no word) or delta table as (numerators, denominator): Python
+    ints over one int for an exact measure, the float table over 1 otherwise."""
+    if spec.exact:
+        row, den, counts = spec._ints(depth, word)
+        return np.array(row, dtype=object)[counts], den
+    return (spec.weight_table(depth) if word is None else spec.delta_table(word, depth)), 1
+
+
 def pushforward_projection_check(spec: MeasureSpec, n: int, k: int) -> dict:
     """Verify that dropping the last n-k sites maps the depth-n measure onto
     the depth-k one.  Exhaustive over all 2**k cylinders."""
     if not n > k >= 1:
         raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
-    fine = spec.weight_table(n)
-    coarse = spec.weight_table(k)
+    fine, den = _numerators(spec, n)
+    coarse, coarse_den = _numerators(spec, k)
     # mask m = (high bits << k) + low bits: rows of the reshape are the
     # dropped-site patterns.
     marginal = fine.reshape(1 << (n - k), 1 << k).sum(axis=0)
-    dev = np.abs(marginal - coarse)
+    dev = np.abs(marginal - coarse * (den // coarse_den))
     exact = bool(spec.exact and np.all(dev == 0))
     return {
         "measure": spec.to_json(),
         "n": n,
         "k": k,
-        "max_abs_deviation": float(np.max(dev)),
+        "max_abs_deviation": float(np.max(dev) / den),
         "exact_zero": exact,
     }
 
@@ -510,9 +524,10 @@ def translation_covariance_check(spec: MeasureSpec, w: FlipWord, depth: int) -> 
             f"covariance check for horizon {w.horizon} needs depth >= "
             f"{spec.min_delta_depth(w)}, got {depth}"
         )
-    weights = spec.weight_table(depth)
-    lhs = weights[_index(depth) ^ w.mask]
-    rhs = spec.delta_inv_table(w, depth) * weights
+    weights, _ = _numerators(spec, depth)
+    delta, den = _numerators(spec, depth, w)
+    lhs = weights[_index(depth) ^ w.mask] * den
+    rhs = _across_flip(delta, w, depth) * weights  # delta**-1 is delta across the flip
     dev = np.abs(lhs - rhs)
     return {
         "measure": spec.to_json(),

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 from fractions import Fraction
 
@@ -418,3 +419,80 @@ def test_delta_inv_table_bits_equal_direct_build(spec):
                 w = FlipWord(mask)
                 if depth >= spec.min_delta_depth(w):
                     assert _same_bits(spec.delta_inv_table(w, depth), oracle(w, depth)), (w, depth)
+
+
+EXACT_LAMS = [Fraction(3, 10), Fraction(1, 5), Fraction(9, 25), Fraction(1, 2)]
+
+
+def _assert_exact_table(table, nums, den, want):
+    """Every entry is a Fraction equal to its oracle value and to its
+    integer numerator over the table's one denominator."""
+    assert all(type(v) is Fraction for v in table.tolist())
+    assert table.tolist() == want
+    assert all(type(n) is int for n in nums.tolist()) and type(den) is int
+    assert [Fraction(n, den) for n in nums.tolist()] == want
+
+
+@pytest.mark.parametrize("lam", EXACT_LAMS, ids=str)
+def test_exact_integer_form_matches_fraction_oracles(lam):
+    spec = Bernoulli(lam)
+    for depth in range(11):
+        size = 1 << depth
+        nums, den = measures._numerators(spec, depth)
+        want = [bernoulli_weight(lam, Prefix(depth, x)) for x in range(size)]
+        _assert_exact_table(spec.weight_table(depth), nums, den, want)
+        if depth <= 6:
+            masks = range(size)
+        else:  # the words of horizon <= 3 and the all-sites word
+            masks = [*range(8), size - 1] if depth == 10 else []
+        for mask in masks:
+            w = FlipWord(mask)
+            nums, den = measures._numerators(spec, depth, w)
+            want = [bernoulli_delta(lam, GroupoidElement(Prefix(depth, x), w))
+                    for x in range(size)]
+            _assert_exact_table(spec.delta_table(w, depth), nums, den, want)
+            # the checks read delta**-1 as the numerators across the flip
+            _assert_exact_table(spec.delta_inv_table(w, depth), nums[np.arange(size) ^ mask],
+                                den, bernoulli_delta_inv_table(lam, w, depth).tolist())
+
+
+def _perturb_ints(monkeypatch, hit):
+    """Add 1 to the first numerator of every exact table for which hit(depth, word) holds."""
+    ints = Bernoulli._ints
+
+    def perturbed(self, depth, word=None):
+        row, den, counts = ints(self, depth, word)
+        return ([row[0] + 1] + row[1:] if hit(depth, word) else row), den, counts
+
+    monkeypatch.setattr(Bernoulli, "_ints", perturbed)
+
+
+def test_perturbed_delta_numerator_fails_covariance(monkeypatch, cold_tables):
+    target = FlipWord.from_sites([1, 3])
+    _perturb_ints(monkeypatch, lambda depth, word: word == target)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["haar", "--lambda", "3/10", "--n", "3", "--depth", "5"])
+    doc = json.loads(buf.getvalue())
+    assert code == 1
+    assert doc["failure"] == {"invariant": "measure covariance", "witness": {"word": [1, 3]}}
+    # the Fraction route over the same perturbed table
+    spec = Bernoulli(LAM)
+    weights = spec.weight_table(5).tolist()
+    inverse = spec.delta_inv_table(target, 5).tolist()
+    want = max(abs(weights[x ^ target.mask] - inverse[x] * weights[x]) / (inverse[x] * weights[x])
+               for x in range(32))
+    assert want > 0
+    assert doc["report"]["max_rel_deviation"] == float(want)
+    rows = {tuple(row["word"]): row for row in doc["report"]["covariance"]}
+    assert rows[(1, 3)]["exact_zero"] is False
+    assert all(row["exact_zero"] for word, row in rows.items() if word != (1, 3))
+
+
+def test_perturbed_weight_numerator_fails_projection(monkeypatch, cold_tables):
+    _perturb_ints(monkeypatch, lambda depth, word: word is None and depth == 5)
+    rep = pushforward_projection_check(Bernoulli(LAM), 5, 2)
+    assert rep["exact_zero"] is False
+    # one fine cylinder gained 1 / q**5, and so did the coarse one above it
+    assert rep["max_abs_deviation"] == float(Fraction(1, 10 ** 5))
+    assert pushforward_projection_check(Bernoulli(LAM), 4, 2)["exact_zero"] is True

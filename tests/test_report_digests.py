@@ -10,14 +10,24 @@ of either can depend on the BLAS build, the CPU and the thread count.  The
 only BLAS calls are the `glimm` matrix products of Pauli words, whose
 entries are exact 0 and +-1: each output entry is one product plus zeros, so
 it does not depend on the BLAS order or on FMA.  Everything else is
-elementwise float arithmetic and square roots, which IEEE 754 rounds
-correctly everywhere, and exact Fractions, so the digests hold on any
-machine.  Between them they cover the passing verdict of each of the
+elementwise arithmetic, square roots and exact integers and Fractions.
+IEEE 754 rounds real products, quotients and square roots correctly
+everywhere, but it fixes no rounding for complex products or complex abs:
+numpy computes both in SIMD loops that it picks at run time for the CPU,
+and they round differently from Python's complex (on an x86 machine whose
+numpy dispatched to AVX-512, the products differed on 43,842 of 100,000
+random pairs and abs on 34,746).  The algebra and trace configs multiply
+random complex tables, and algebra takes their complex abs, so their
+digests hold for numpy builds and CPUs that pick loops which round alike.
+glimm multiplies complex coefficients only into real tables, where the
+zero imaginary parts keep each product a single real rounding; the haar,
+axioms, dfs-build, dfs-check and spectrum configs compute in reals and
+integers only.  Between them they cover the passing verdict of each of the
 algebra, haar, trace, glimm, axioms, dfs-build and dfs-check paths, the
-exact Fraction path, and the failure records of algebra, trace and glimm;
-the larger algebra and trace configs run their trials in several chunks.
-All run in well under a second.  COCHAIN_DIGEST pins the benchmark's library
-`cochain` operation (cochain_delta and is_exact) the same way.
+exact integer and Fraction paths, and the failure records of algebra, trace
+and glimm; the larger algebra and trace configs run their trials in several
+chunks.  All run in well under a second.  COCHAIN_DIGEST pins the benchmark's
+library `cochain` operation (cochain_delta and is_exact) the same way.
 """
 
 import contextlib
@@ -47,6 +57,13 @@ DIGESTS = {
         (0, "800d6e2120ffe33c0ddac2db2eff8e9d6f2c16c7a322823463c4927b46f3d599"),
     "haar --lambda 3/10 --n 3 --depth 5":
         (0, "d32292ff9013e6193072253ec15874fd201829a2810c64792d2e7f2c06740fb7"),
+    # the exact integer checks at larger depths, and their float path
+    "haar --lambda 3/10 --n 6 --depth 10":
+        (0, "a8254f262af6332e2cd47c72eab2edcf134c755d85f15ef0ce4c72fd7f43e1be"),
+    "haar --lambda 1/5 --n 4 --depth 12":
+        (0, "ac286ec68f5f989501977239a74568339e42985a300ba7658a9d8f65a8730ba9"),
+    "haar --n 4 --depth 8":
+        (0, "e3a647c11f3f8cb60532f7ec3027205ff99bd394ecce6d457a88f551bef39871"),
     "trace --trials 20":
         (0, "b4f79c2d6becf52cf580fcc387bb33e13525a8149cfb9ae1dc8c99269b5a77c0"),
     "dfs-build --n 3 --depth 5":
