@@ -37,14 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
-from .measures import (
-    CylinderFunction,
-    MeasureSpec,
-    _index,
-    _integrate_rows,
-    _max_abs,
-    integrate,
-)
+from .measures import CylinderFunction, MeasureSpec, _index, _integrate_rows, _max_abs
 
 # Convolutions whose operands hold at most this many rows between them (the
 # product of the row counts) loop over the row pairs; larger ones gather all
@@ -77,9 +70,9 @@ class AlgebraElement:
         rows = {(0, w.mask): f.lift(d).values for w, f in terms.items()}
         self._set(d, None, *_sorted_rows(rows, d))
 
-    def _set(self, depth, trials, values, trial, word, nonzero=False):
+    def _set(self, depth, trials, values, trial, word, nonzero=False) -> "AlgebraElement":
         """Store sorted rows, dropping the all-zero tables unless they are
-        known to be nonzero; NaN counts as nonzero."""
+        known to be nonzero; NaN counts as nonzero.  Returns self."""
         # most tables have no zero entry at all, which is the cheaper test
         if not nonzero and np.count_nonzero(values) < values.size:
             keep = values.any(axis=1)
@@ -90,29 +83,32 @@ class AlgebraElement:
         self.word = word
         self.values = values
         self._terms = None
+        return self
+
+    @classmethod
+    def of_rows(cls, depth, trials, values, trial, word, nonzero=False) -> "AlgebraElement":
+        """The element of rows already sorted by (trial, word), at one depth
+        at least their largest word horizon; trials=None for a lone element."""
+        return object.__new__(cls)._set(depth, trials, values, trial, word, nonzero)
 
     def _with(self, depth, values, trial=None, word=None, nonzero=False):
         """An element of this one's batch size: the same rows, or the given
         sorted ones, holding new tables."""
-        out = object.__new__(AlgebraElement)
-        out._set(depth, self.trials, values, self.trial if trial is None else trial,
-                 self.word if word is None else word, nonzero)
-        return out
+        return self.of_rows(depth, self.trials, values, self.trial if trial is None else trial,
+                            self.word if word is None else word, nonzero)
 
     @classmethod
     def batch(cls, elements) -> "AlgebraElement":
         """The batch whose trial i is the lone element elements[i]."""
         d = max(F.depth for F in elements)
         lifted = [F.lift(d) for F in elements]
-        out = object.__new__(cls)
-        out._set(
+        return cls.of_rows(
             d, len(lifted),
             np.concatenate([F.values for F in lifted]),
             np.repeat(np.arange(len(lifted)), [len(F.word) for F in lifted]),
             np.concatenate([F.word for F in lifted]),
             nonzero=True,
         )
-        return out
 
     @property
     def _count(self) -> int:
@@ -255,10 +251,9 @@ def _row_max_abs(rows: np.ndarray) -> np.ndarray:
 def unit(depth: int = 0) -> AlgebraElement:
     """The convolution unit: value 1 on the empty word."""
     check_depth(depth)
-    one = object.__new__(AlgebraElement)
-    one._set(depth, None, np.ones((1, 1 << depth)), np.zeros(1, dtype=np.int64),
-             np.zeros(1, dtype=np.int64), nonzero=True)
-    return one
+    return AlgebraElement.of_rows(depth, None, np.ones((1, 1 << depth)),
+                                  np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                                  nonzero=True)
 
 
 def max_abs_diff(F: AlgebraElement, G: AlgebraElement):
@@ -438,10 +433,10 @@ def pukanszky_V(w, spec: MeasureSpec) -> AlgebraElement:
     """
     words = [w] if isinstance(w, FlipWord) else list(w)
     # the bare flips, one row per trial, at depth 0 until _per_word lifts them
-    flips = object.__new__(AlgebraElement)
-    flips._set(0, None if isinstance(w, FlipWord) else len(words), np.ones((len(words), 1)),
-               np.arange(len(words)), np.array([u.mask for u in words], dtype=np.int64),
-               nonzero=True)
+    flips = AlgebraElement.of_rows(
+        0, None if isinstance(w, FlipWord) else len(words), np.ones((len(words), 1)),
+        np.arange(len(words)), np.array([u.mask for u in words], dtype=np.int64),
+        nonzero=True)
     flips, roots = _per_word(flips, spec, _inverse_root(spec))
     return flips._with(flips.depth, roots)
 
@@ -462,7 +457,9 @@ def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
     trace exactly when the measure is flip-invariant (Bernoulli lambda = 1/2).
     """
     weights = [0 if spec.exact else 0.0] * F._count
-    for t, w, row in zip(F.trial.tolist(), F.word.tolist(), F.values):
-        if w == EMPTY_WORD.mask:
-            weights[t] = integrate(spec, CylinderFunction(F.depth, row))
+    rows = [i for i, w in enumerate(F.word.tolist()) if w == EMPTY_WORD.mask]
+    if rows:  # without an empty-word row no weight table is read
+        for t, weight in zip(F.trial[rows].tolist(),
+                             _integrate_rows(spec, F.depth, F.values[rows])):
+            weights[t] = weight
     return F._per_trial(weights)

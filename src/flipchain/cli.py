@@ -173,6 +173,8 @@ def config_from_args(args) -> RunConfig:
         if field in cfg.given and kind not in kinds:
             raise InvalidSpec(
                 f"{args.subcommand} checks no {kind} measure, so it does not read {name}")
+    if "trials" in cfg.given and args.subcommand not in ("algebra", "glimm", "trace"):
+        raise InvalidSpec(f"{args.subcommand} runs no --trials trials, so it does not read trials")
     if args.subcommand == "glimm":  # the matrix side runs in float64
         cfg.lam = float(cfg.lam)
     return cfg

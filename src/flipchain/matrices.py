@@ -9,8 +9,8 @@ matrix generators into the convolution algebra,
 
 Site 1 is the first tensor factor, so the matrix row index carries site 1 in
 its most significant bit.  Prefixes keep site 1 in the least significant bit.
-The product state weighs the matrix diagonal, its site axes reversed, by the
-Bernoulli measure's own weight table; otherwise the two sides are never
+The product state is the Bernoulli measure's own integral of the matrix
+diagonal, its site axes reversed; otherwise the two sides are never
 index-matched, and equality of expectations is checked through the state
 values themselves.
 
@@ -23,7 +23,6 @@ are the same floats in any summation order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .algebra import (
 )
 from .errors import InvalidSpec, SiteOutOfRange
 from .groupoid import e
-from .measures import Bernoulli, CylinderFunction
+from .measures import Bernoulli, CylinderFunction, integrate
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,8 @@ def powers_state(A: np.ndarray, lam) -> complex:
     if not 0 < lam <= 0.5:
         raise InvalidSpec(f"lambda={lam} outside (0, 1/2]")
     n = len(A).bit_length() - 1
-    diag_weights = Bernoulli(lam).weight_table(n)
-    diag_entries = np.diagonal(A).reshape((2,) * n).transpose().ravel()
-    re = math.fsum(diag_weights * np.real(diag_entries))
-    im = math.fsum(diag_weights * np.imag(diag_entries))
-    return complex(re, im)
+    diagonal = np.diagonal(A).reshape((2,) * n).transpose().ravel()
+    return complex(integrate(Bernoulli(lam), CylinderFunction(n, diagonal)))
 
 
 # Word images per (measure, word); the measure key carries the parameter's

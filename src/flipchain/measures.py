@@ -22,9 +22,12 @@ function: ``weight(p ^ w) = weight(p) / delta((p, w))``.
 Each measure owns the generator of its modular flow (``ising.tt_evolve``),
 the transition energy S = -log delta, as ``energy_table``: delta = e^{-S} for
 both families.  The Bernoulli energy is ``step * -k`` on the integer index k
-of ``lattice_table``.  Exact tables are gathers by popcount of their few
-distinct values, and the exact checks compare the integer numerators over
-one denominator.  Float delta tables stay per-site products, because deltas
+of ``lattice_table``.  The integer prefix tables are bit counts: the index
+k = 2 popcount(x & w) - popcount(w), the Ising bond sum C = b - 2
+popcount(B(x)) with the bond map B(x) = (x ^ (x >> 1)) & (2**b - 1) of the
+b = D - 1 bonds, and the popcounts by which exact tables gather their few
+distinct values, whose integer numerators the exact checks compare over one
+denominator.  Float delta tables stay per-site products, because deltas
 gathered or built as ratio**k would round differently.
 
 Tables are built once per process for each (measure kind, exactness,
@@ -75,6 +78,11 @@ def _index(depth: int) -> np.ndarray:
 
 def _site_bit(idx: np.ndarray, site: int) -> np.ndarray:
     return (idx >> (site - 1)) & 1
+
+
+def _bit_count(bits: np.ndarray) -> np.ndarray:
+    """The number of set bits of every entry, as int64."""
+    return np.bitwise_count(bits).astype(np.int64)
 
 
 def _across_flip(delta: np.ndarray, word: FlipWord, depth: int) -> np.ndarray:
@@ -158,9 +166,7 @@ class CylinderFunction:
         if depth < k:
             raise DepthTooSmall(f"psi_{k} needs depth >= {k}, got {depth}")
         vals = 1 - 2 * _site_bit(_index(depth), k)
-        if exact:
-            return cls(depth, np.array([int(v) for v in vals], dtype=object))
-        return cls(depth, vals.astype(np.float64))
+        return cls(depth, vals.astype(object if exact else np.float64))
 
     @property
     def exact(self) -> bool:
@@ -210,7 +216,7 @@ class Bernoulli:
         x, y, base, m, mask = ((a, b, q, depth, -1) if word is None else
                                (a * a, b * b, a * b, word.mask.bit_count(), word.mask))
         return ([x ** (m - j) * y ** j for j in range(m + 1)], base ** m,
-                np.bitwise_count(_index(depth) & mask))
+                _bit_count(_index(depth) & mask))
 
     def _fractions(self, depth: int, word: FlipWord | None = None) -> np.ndarray:
         row, den, counts = self._ints(depth, word)
@@ -243,11 +249,7 @@ class Bernoulli:
         exact lattice index of log delta = step * k."""
         if depth < word.horizon:
             raise DepthTooSmall(f"horizon {word.horizon} needs depth >= {word.horizon}")
-        idx = _index(depth)
-        k = np.zeros(1 << depth, dtype=np.int64)
-        for j in word.sites:
-            k += 2 * _site_bit(idx, j) - 1
-        return k
+        return 2 * _bit_count(_index(depth) & word.mask) - word.mask.bit_count()
 
     def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """The transition energy S = -log delta = step * -k."""
@@ -291,13 +293,10 @@ def ising_bond_coefficients(depth: int) -> np.ndarray:
 
 
 def _bond_sums(depth: int) -> np.ndarray:
-    idx = _index(depth)
-    c = np.zeros(idx.shape, dtype=np.int64)
-    for k in range(1, depth):
-        s_k = 1 - 2 * _site_bit(idx, k)
-        s_next = 1 - 2 * _site_bit(idx, k + 1)
-        c += s_k * s_next
-    return c
+    """C = b - 2 * (broken bonds), b = depth - 1 the bond count: bond k, between
+    sites k and k + 1, is bit k - 1 of the bond map B(x) = x ^ (x >> 1)."""
+    idx, bonds = _index(depth), max(depth - 1, 0)
+    return bonds - 2 * _bit_count((idx ^ idx >> 1) & ((1 << bonds) - 1))
 
 
 def ising_energy_table(word: FlipWord, depth: int) -> np.ndarray:

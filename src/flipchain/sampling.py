@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from .algebra import AlgebraElement
-from .groupoid import FlipWord
+from .groupoid import FlipWord, check_depth
 from .measures import CylinderFunction
 
 _TAG = b"flipchain"
@@ -37,12 +37,15 @@ def random_word(rng: np.random.Generator, n: int) -> FlipWord:
     return FlipWord(int(rng.integers(0, 1 << n)))
 
 
+def _normal_rows(rng: np.random.Generator, rows: int, depth: int, complex_values: bool):
+    """rows tables of 2**depth standard normals in one draw, the numbers of one
+    draw per table (its real, then its imaginary part); no rows stay float64."""
+    draws = rng.standard_normal((rows, 1 + complex_values, 1 << depth))
+    return draws[:, 0] + 1j * draws[:, 1] if complex_values and rows else draws[:, 0]
+
+
 def random_cylinder(rng: np.random.Generator, depth: int, complex_values: bool = True) -> CylinderFunction:
-    size = 1 << depth
-    vals = rng.standard_normal(size)
-    if complex_values:
-        vals = vals + 1j * rng.standard_normal(size)
-    return CylinderFunction(depth, vals)
+    return CylinderFunction(depth, _normal_rows(rng, 1, depth, complex_values)[0])
 
 
 def random_algebra_element(
@@ -54,12 +57,13 @@ def random_algebra_element(
 ) -> AlgebraElement:
     """Element with `words` distinct random words, tables at the given depth.
 
-    Words are drawn inside `horizon` (default: the full depth).
+    Words are drawn inside `horizon` (default: the full depth), tables in
+    ascending word order; the element is lifted to its deepest word.
     """
+    check_depth(depth)
     h = depth if horizon is None else horizon
-    masks = rng.choice(1 << h, size=min(words, 1 << h), replace=False)
-    terms = {
-        FlipWord(int(m)): random_cylinder(rng, depth, complex_values)
-        for m in sorted(int(m) for m in masks)
-    }
-    return AlgebraElement(terms, depth)
+    masks = np.sort(rng.choice(1 << h, size=min(words, 1 << h), replace=False))
+    values = _normal_rows(rng, len(masks), depth, complex_values)
+    trial = np.zeros(len(masks), dtype=np.int64)
+    return AlgebraElement.of_rows(depth, None, values, trial, masks).lift(
+        int(masks.max(initial=0)).bit_length())

@@ -3,9 +3,11 @@
 Each one recomputes a quantity site by site, sharing no table with the
 package: the Bernoulli cylinder weight and modular function of one prefix,
 a Pauli word as the Kronecker product of its one-site matrices, the inverse
-modular tables built directly (the package reads them across the flip) and
-the product-state diagonal as a Kronecker product.  The convolution
-algebra's kernels get their one-trial, word-by-word definitions below.
+modular tables built directly (the package reads them across the flip),
+the Bernoulli lattice index and the Ising bond sums summed site by site (the
+package counts bits) and the product-state diagonal as a Kronecker product.
+The convolution algebra's kernels get their one-trial, word-by-word
+definitions below, and random elements their word-by-word draw.
 """
 
 import math
@@ -14,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from flipchain import EMPTY_WORD, AlgebraElement, CylinderFunction
+from flipchain import EMPTY_WORD, AlgebraElement, CylinderFunction, FlipWord
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -58,6 +60,24 @@ def ising_delta_inv_table(J, word, depth: int) -> np.ndarray:
     spins = [1 - 2 * ((idx >> k) & 1) for k in range(depth)]
     c = sum((a * b for a, b in zip(spins, spins[1:])), np.zeros(1 << depth, dtype=np.int64))
     return np.exp(J * (c - c[idx ^ word.mask]))
+
+
+def lattice_table(word, depth: int) -> np.ndarray:
+    """k = sum over flipped sites j of (2 x_j - 1), one site at a time."""
+    idx = np.arange(1 << depth)
+    k = np.zeros(1 << depth, dtype=np.int64)
+    for j in word.sites:
+        k += 2 * ((idx >> (j - 1)) & 1) - 1
+    return k
+
+
+def bond_sums(depth: int) -> np.ndarray:
+    """C = sum over bonds k of s_k s_{k+1}, one bond at a time."""
+    idx = np.arange(1 << depth)
+    c = np.zeros(1 << depth, dtype=np.int64)
+    for k in range(1, depth):
+        c += (1 - 2 * ((idx >> (k - 1)) & 1)) * (1 - 2 * ((idx >> k) & 1))
+    return c
 
 
 def product_state_diagonal(lam: float, n: int) -> np.ndarray:
@@ -223,3 +243,17 @@ def tt_evolve(F, t, energy):
         vals = f.values.astype(np.complex128) if f.values.dtype == object else f.values
         out[w] = CylinderFunction(d, phase * vals)
     return AlgebraElement(out, d)
+
+
+def random_algebra_element(rng, depth, words=3, horizon=None, complex_values=True):
+    """The draw one word at a time: the word masks, then per mask in ascending
+    order its real table and its imaginary table, through the dict constructor."""
+    h = depth if horizon is None else horizon
+    masks = rng.choice(1 << h, size=min(words, 1 << h), replace=False)
+    terms = {}
+    for m in sorted(int(m) for m in masks):
+        vals = rng.standard_normal(1 << depth)
+        if complex_values:
+            vals = vals + 1j * rng.standard_normal(1 << depth)
+        terms[FlipWord(m)] = CylinderFunction(depth, vals)
+    return AlgebraElement(terms, depth)

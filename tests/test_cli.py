@@ -478,7 +478,19 @@ UNREAD_PARAMETERS = {
 }
 
 
-MISMATCHES = {**MEASURE_MISMATCHES, **UNREAD_PARAMETERS}
+# trials is read only by the subcommands that run --trials trials (ising-dynamics
+# runs one per flow time); given to any other, by flag or config file, it is refused.
+UNREAD_TRIALS = {
+    f"trials {how}, {' '.join(cmd)}": (cmd + (["--trials", "5"] if how == "flag" else []),
+                                       None if how == "flag" else {"trials": 5})
+    for cmd in (["axioms", "--n", "2"], ["haar", "--n", "2", "--depth", "3"], ["dfs-build"],
+                ["dfs-check"], ["ising-partition", "--n", "2"],
+                ["ising-dynamics", "--n", "2", "--depth", "2"], ["spectrum", "--n", "3"])
+    for how in ("flag", "in a config file")
+}
+
+
+MISMATCHES = {**MEASURE_MISMATCHES, **UNREAD_PARAMETERS, **UNREAD_TRIALS}
 
 
 @pytest.mark.parametrize("argv, doc", MISMATCHES.values(), ids=MISMATCHES)

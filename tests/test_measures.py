@@ -34,7 +34,9 @@ from oracles import (
     bernoulli_delta,
     bernoulli_delta_inv_table,
     bernoulli_weight,
+    bond_sums,
     ising_delta_inv_table,
+    lattice_table,
 )
 
 LAM = Fraction(3, 10)
@@ -147,6 +149,22 @@ def test_ising_bond_coefficients_small():
     assert c3[0] == 2
     assert c3[0b010] == -2
     assert c3[0b111] == 2
+
+
+def test_ising_bond_coefficients_equal_the_bond_loop():
+    for depth in range(17):
+        table = ising_bond_coefficients(depth)
+        assert table.dtype == np.int64
+        assert np.array_equal(table, bond_sums(depth))
+
+
+def test_lattice_table_equals_the_site_loop():
+    spec = Bernoulli(0.3)
+    for depth in range(13):
+        for mask in range(1 << depth):
+            table = spec.lattice_table(FlipWord(mask), depth)
+            assert table.dtype == np.int64
+            assert np.array_equal(table, lattice_table(FlipWord(mask), depth))
 
 
 def test_ising_energy_coefficient_values():

@@ -74,10 +74,16 @@ DIGESTS = {
         (0, "f795b2b2d6554ba1253613c928efaa4dc45edd92aa0108388360aaab1914dea6"),
     "spectrum --n 6 --depth 6":
         (0, "764a3b4b53a5c03225383a4528430fb259200cc0077310e8d5adb1d695611235"),
+    # the lattice index of all 2,048 words at the largest horizon
+    "spectrum --n 11 --depth 11":
+        (0, "d179c422e331fbe68b384d5b0192725b7d3e966c321ef0f789ab97a61a43768d"),
     "glimm --trials 50":
         (0, "690dafc16bb8450e137fae48f35863bb854c350ab4e3a0e215046c7ad757bc41"),
     "glimm --n 6 --depth 6 --trials 50":
         (0, "a94917a8e0413ad5b71714a942946e3f19aed287670206f2f5eb9cb5bc6f682c"),
+    # the product state at the largest n the dense side allows
+    "glimm --n 8 --depth 8 --trials 20":
+        (0, "d046837115f93239e2de74d2f6fd283898aee5265bf32222a9be178f84b0b345"),
     "algebra --tol 1e-30 --trials 3":
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
     # several trial chunks each, with a ragged last chunk at the default depth

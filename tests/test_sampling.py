@@ -1,6 +1,11 @@
-import numpy as np
+import itertools
 
+import numpy as np
+import pytest
+
+import oracles
 from flipchain import (
+    HorizonOverflow,
     random_algebra_element,
     random_cylinder,
     random_word,
@@ -48,3 +53,41 @@ def test_random_algebra_element_controls():
     # horizon smaller than the word count caps the support size
     G = random_algebra_element(rng_for(8, 1), 4, words=9, horizon=1)
     assert len(G.support) <= 2
+
+
+# 420 configurations (depth, words, horizon of the depth, complex), two or three per seed
+HORIZONS = (lambda d: None, lambda d: 0, lambda d: 2, lambda d: d, lambda d: d + 3)
+DRAWS = list(itertools.product(range(7), range(6), HORIZONS, (True, False)))
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_random_algebra_element_equals_the_word_by_word_draw(seed):
+    for depth, words, horizon, complex_values in DRAWS[seed::200]:
+        h = horizon(depth)
+        rng, ref_rng = rng_for(seed, 0), rng_for(seed, 0)
+        F = random_algebra_element(rng, depth, words, h, complex_values)
+        G = oracles.random_algebra_element(ref_rng, depth, words, h, complex_values)
+        assert (F.depth, F.trials, F.values.dtype) == (G.depth, None, G.values.dtype)
+        assert F.values.tobytes() == G.values.tobytes()
+        assert F.word.tolist() == G.word.tolist() and F.trial.tolist() == G.trial.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_random_algebra_element_lifts_to_its_deepest_word():
+    F = random_algebra_element(rng_for(1, 2), 2, 3, horizon=5)
+    assert F.depth == 5
+    assert F.word.tolist() == [19, 23, 27]
+    assert F.values.shape == (3, 32)
+
+
+def test_random_algebra_element_without_words_is_float():
+    F = random_algebra_element(rng_for(1, 2), 3, 0)
+    assert F.values.shape == (0, 8) and F.values.dtype == np.float64
+
+
+def test_random_algebra_element_refuses_a_deep_table_before_drawing():
+    rng = rng_for(1, 2)
+    state = rng.bit_generator.state
+    with pytest.raises(HorizonOverflow):
+        random_algebra_element(rng, 21)
+    assert rng.bit_generator.state == state
