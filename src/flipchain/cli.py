@@ -39,7 +39,6 @@ from .errors import (
     FlipchainError,
     InvalidSpec,
     InvariantViolation,
-    NotComposable,
 )
 from .groupoid import FlipWord, axioms_report, check_depth, e
 from .ising import (
@@ -195,13 +194,8 @@ def cmd_axioms(cfg: RunConfig):
     report = axioms_report(cfg.n)
     # wall time would break byte-identical reports for equal configs
     del report["elapsed_seconds"]
-    failure = None
-    if report["violations"]:
-        failure = {
-            "invariant": "groupoid axioms",
-            "witness": {"violations": report["violations"]},
-        }
-    return report, failure
+    bad = report["violations"]
+    return report, _first_failure(0, ("groupoid axioms", bad, {"violations": bad}))
 
 
 def cmd_haar(cfg: RunConfig):
@@ -648,7 +642,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report, failure = COMMANDS[args.subcommand](cfg)
-    except (InvariantViolation, NotComposable) as err:
+    except InvariantViolation as err:
         report = {"error": str(err)}
         failure = {"invariant": str(err), "witness": None}
     except (FlipchainError, OSError) as err:

@@ -1,22 +1,19 @@
-"""Core structures of the bit-flip groupoid over binary sequences.
+"""The bit-flip groupoid over binary sequences: its law on masks, and views.
 
-The base space is the set of infinite binary sequences.  A transition is a
-pair (point, flips): it starts at the point obtained by flipping the listed
-sites and ends at the point itself.  Flip words form an abelian 2-group under
-symmetric difference, and two transitions compose exactly when the source of
-the first matches the target of the second.
+The base space is the set of infinite binary sequences, represented by finite
+prefixes: every consumer in this package is a cylinder function, so a depth-D
+prefix is a faithful stand-in for the full sequence.  Site k is bit k - 1 of
+an integer mask (site 1 is the least significant bit), and prefix bit 0 means
+"outcome 0", which carries the lambda weight of the Bernoulli measure.
 
-Points are represented by finite prefixes: every consumer in this package is
-a cylinder function, so a depth-D prefix is a faithful stand-in for the full
-sequence.  Operations raise rather than zero-extend when a prefix is too
+A transition (x, w) is a point mask x and a word mask w of flipped sites: it
+ends at x and starts at source(x, w) = x ^ w.  Flip words form an abelian
+2-group under symmetric difference; (x, u) composes with (y, v) iff
+y = x ^ u, to (x, u ^ v), and (x, w)^-1 = (x ^ w, w).  This law takes Python
+ints or integer arrays alike: `axioms_report` broadcasts it over all prefixes
+and words at once, and `GroupoidElement`, `compose`, `inverse` and `identity`
+are validated views that raise rather than zero-extend when a prefix is too
 shallow, to surface depth bugs.
-
-Bit conventions, used consistently everywhere:
-
-* site k <-> bit (k - 1) of an integer mask, so site 1 is the least
-  significant bit;
-* prefix bit 0 means "outcome 0" and carries the lambda weight of the
-  Bernoulli measure.
 """
 
 from __future__ import annotations
@@ -24,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from numbers import Integral
 from time import perf_counter
+
+import numpy as np
 
 from .errors import DepthMismatch, DepthTooSmall, HorizonOverflow, NotComposable
 
@@ -136,6 +135,27 @@ class Prefix:
         return "Prefix(%s)" % "".join(map(str, self.as_tuple()))
 
 
+# The law on masks (see the module docstring), for ints and arrays alike.
+def source(x, w):
+    return x ^ w
+
+
+def target(x, w):
+    return x
+
+
+def composable(x, u, y):
+    return source(x, u) == y
+
+
+def compose_masks(x, u, v):
+    return x, u ^ v
+
+
+def inverse_masks(x, w):
+    return source(x, w), w
+
+
 @dataclass(frozen=True)
 class GroupoidElement:
     """A transition: target prefix together with the word of flipped sites."""
@@ -145,18 +165,16 @@ class GroupoidElement:
 
     def __post_init__(self):
         if self.flips.horizon > self.point.depth:
-            raise DepthTooSmall(
-                f"flip horizon {self.flips.horizon} exceeds prefix depth "
-                f"{self.point.depth}"
-            )
+            raise DepthTooSmall(f"flip horizon {self.flips.horizon} exceeds prefix "
+                                f"depth {self.point.depth}")
 
     @property
     def target(self) -> Prefix:
-        return self.point
+        return Prefix(self.point.depth, target(self.point.bits, self.flips.mask))
 
     @property
     def source(self) -> Prefix:
-        return self.point ^ self.flips
+        return Prefix(self.point.depth, source(self.point.bits, self.flips.mask))
 
     def __repr__(self):
         return f"({self.point!r}, {self.flips!r})"
@@ -170,17 +188,18 @@ def identity(point: Prefix) -> GroupoidElement:
 def compose(a: GroupoidElement, b: GroupoidElement) -> GroupoidElement:
     """Compose two transitions; defined iff source(a) = target(b)."""
     if a.point.depth != b.point.depth:
-        raise DepthMismatch(
-            f"prefix depths differ: {a.point.depth} vs {b.point.depth}"
-        )
-    if a.source != b.target:
+        raise DepthMismatch(f"prefix depths differ: {a.point.depth} vs {b.point.depth}")
+    x, u = a.point.bits, a.flips.mask
+    if not composable(x, u, target(b.point.bits, b.flips.mask)):
         raise NotComposable(f"source of {a!r} is not the target of {b!r}")
-    return GroupoidElement(a.point, a.flips ^ b.flips)
+    x, w = compose_masks(x, u, b.flips.mask)
+    return GroupoidElement(Prefix(a.point.depth, x), FlipWord(w))
 
 
 def inverse(a: GroupoidElement) -> GroupoidElement:
     """The reversed transition: (x, w)^-1 = (x + w, w)."""
-    return GroupoidElement(a.point ^ a.flips, a.flips)
+    x, w = inverse_masks(a.point.bits, a.flips.mask)
+    return GroupoidElement(Prefix(a.point.depth, x), FlipWord(w))
 
 
 def enumerate_gamma(n: int) -> list[FlipWord]:
@@ -197,11 +216,21 @@ def enumerate_prefixes(depth: int) -> list[Prefix]:
     return [Prefix(depth, m) for m in range(1 << depth)]
 
 
+# The axiom sweep's chunks along the prefix axis span this many (x, u, v, w).
+_SWEEP_ENTRIES = 1 << 18
+
+
+def _composes_to(a, b, c):
+    """Whether transition a composes with b, to c; each a (point, word) pair."""
+    x, w = compose_masks(*a, b[1])
+    return composable(*a, target(*b)) & (x == c[0]) & (w == c[1])
+
+
 def axioms_report(n: int) -> dict:
     """Exhaustively verify the groupoid axioms at horizon n.
 
-    Checks, for every prefix of depth n and all words u, v, w with horizon
-    <= n:
+    Checks, for every prefix x of depth n and all words u, v, w with horizon
+    <= n, through the mask law:
 
     * composability bookkeeping: source/target of a composition;
     * associativity of composition on composable triples;
@@ -210,59 +239,48 @@ def axioms_report(n: int) -> dict:
     * the abelian-group law on flip words (commutativity, self-inverses);
     * rejection of non-composable pairs.
 
-    Returns a report dict with the number of checks, violations, and elapsed
-    seconds.
+    Each family is one array over its variables, and counts its entries as
+    checks; a composition that is not composable fails its entry.  Returns a
+    report dict with the number of checks, violations, and elapsed seconds.
     """
     t0 = perf_counter()
-    words = enumerate_gamma(n)
-    prefixes = enumerate_prefixes(n)
-    checks = 0
-    violations = 0
+    masks = [w.mask for w in enumerate_gamma(n)]
+    words = np.array(masks, np.min_scalar_type(masks[-1]))
+    prefixes = np.array([p.bits for p in enumerate_prefixes(n)], words.dtype)
+    checks = violations = 0
 
-    def ok(cond):
+    def tally(operands, *families):
+        """Count each family, a truth array over (a broadcast of) the operands."""
         nonlocal checks, violations
-        checks += 1
-        if not cond:
-            violations += 1
+        shape = np.broadcast_shapes(*map(np.shape, operands))
+        for ok in families:
+            ok = np.broadcast_to(ok, shape)
+            checks += ok.size
+            violations += ok.size - int(np.count_nonzero(ok))
 
-    # Abelian group law on the flip words.
-    for u in words:
-        ok((u ^ u) == EMPTY_WORD)
-        ok((u ^ EMPTY_WORD) == u)
-        for v in words:
-            ok((u ^ v) == (v ^ u))
+    # Abelian group law on the flip words, as the words of composites.
+    u, v = words[:, None], words
+    tally((u,), compose_masks(0, u, u)[1] == 0, compose_masks(0, u, 0)[1] == u)
+    tally((u, v), compose_masks(0, u, v)[1] == compose_masks(0, v, u)[1])
 
-    for x in prefixes:
-        for u in words:
-            a = GroupoidElement(x, u)
-            ok(a.target == x)
-            ok(a.source == (x ^ u))
-            ainv = inverse(a)
-            ok(inverse(ainv) == a)
-            ok(compose(a, ainv) == identity(x))
-            ok(compose(ainv, a) == identity(a.source))
-            ok(compose(identity(x), a) == a)
-            ok(compose(a, identity(a.source)) == a)
-            for v in words:
-                b = GroupoidElement(x ^ u, v)
-                ab = compose(a, b)
-                ok(ab.target == a.target and ab.source == b.source)
-                ok(ab.flips == (u ^ v))
-                # Every pair (a, b') with b' based at the wrong point must
-                # be rejected.
-                if (x ^ u) != x:
-                    try:
-                        compose(a, GroupoidElement(x, v))
-                        ok(False)
-                    except NotComposable:
-                        ok(True)
-                for w in words:
-                    c = GroupoidElement(x ^ u ^ v, w)
-                    ok(compose(ab, c) == compose(a, compose(b, c)))
-
-    return {
-        "horizon": n,
-        "checks": checks,
-        "violations": violations,
-        "elapsed_seconds": perf_counter() - t0,
-    }
+    u, v, w = words[:, None, None], words[:, None], words
+    step = max(1, _SWEEP_ENTRIES >> 3 * n)
+    for start in range(0, len(prefixes), step):
+        x = prefixes[start:start + step, None, None, None]
+        a, s, ainv = (x, u), source(x, u), inverse_masks(x, u)
+        aii = inverse_masks(*ainv)
+        tally((x, u), target(*a) == x, s == x ^ u, (aii[0] == x) & (aii[1] == u),
+              _composes_to(a, ainv, (x, 0)), _composes_to(ainv, a, (s, 0)),  # inverses
+              _composes_to((x, 0), a, a), _composes_to(a, (s, 0), a))  # units
+        # b = (x + u, v) starts where a ends, c = (x + u + v, w) where b ends
+        b, c = (x ^ u, v), (x ^ u ^ v, w)
+        ab, bc = compose_masks(*a, v), compose_masks(*b, w)
+        ab_ok = composable(*a, target(*b))
+        tally((x, u, v), ab_ok & (target(*ab) == x) & (source(*ab) == source(*b)),
+              ab_ok & (ab[1] == u ^ v))
+        # every pair (a, b') with b' based at the wrong point must be rejected
+        tally((x, u[1:], v), np.logical_not(composable(x, u[1:], x)))
+        assoc = _composes_to(ab, c, compose_masks(*a, bc[1])) & composable(*a, target(*bc))
+        tally((x, u, v, w), ab_ok & composable(*b, target(*c)) & assoc)
+    return {"horizon": n, "checks": checks, "violations": violations,
+            "elapsed_seconds": perf_counter() - t0}

@@ -45,6 +45,7 @@ sign, so the gather gives the same bits as a separate inverse build would.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -449,6 +450,10 @@ def partition_function_closed_form(J: float, n: int) -> float:
     return (2.0 * math.cosh(J)) ** n
 
 
+# (2 cosh J)**n <= 2**n e**(|J| n) bounds partition_report, and 2**n < e**14 at n <= 20.
+_PARTITION_EXPONENT_CAP = math.log(sys.float_info.max) - 14
+
+
 def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     """Compare all partition-function routes and the ratio identity.
 
@@ -458,6 +463,9 @@ def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     """
     if n < 1:
         raise InvalidSpec(f"partition functions need n >= 1, got {n}")
+    if abs(J) * n > _PARTITION_EXPONENT_CAP:
+        raise InvalidSpec(f"|J| n = {abs(J) * n:g} exceeds {_PARTITION_EXPONENT_CAP:.2f}, "
+                          "past which the partition functions overflow float64")
     brute = partition_function_brute(J, n)
     recursion = partition_function(J, n)
     closed = partition_function_closed_form(J, n)

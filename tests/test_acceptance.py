@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
 
 from flipchain import (
@@ -52,11 +53,13 @@ from flipchain import (
 
 
 def test_criterion_01_groupoid_axioms():
-    """Exhaustive axiom pass at horizon 3: zero violations, under a second."""
-    report = axioms_report(3)
-    assert report["violations"] == 0
-    assert report["checks"] > 6000
-    assert report["elapsed_seconds"] < 1.0
+    """Exhaustive axiom pass at horizon 3: zero violations, under a second,
+    by the package's broadcast sweep and by the scalar oracle alike."""
+    for sweep in (axioms_report, oracles.axioms_report_scalar):
+        report = sweep(3)
+        assert report["violations"] == 0
+        assert report["checks"] > 6000
+        assert report["elapsed_seconds"] < 1.0
 
 
 def test_criterion_02_measure_covariance():

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -414,6 +415,10 @@ NON_FINITE_INPUTS = {
     "lambda 0.7, glimm": (["glimm", "--lambda", "0.7"], None),
     "measure kind potts in a config file": (["haar"], {"measure": {"kind": "potts"}}),
     "n 0, ising-partition": (["ising-partition", "--n", "0"], None),
+    # |J| n past the cut-off where the partition functions leave float64
+    "J 800, ising-partition": (["ising-partition", "--J", "800"], None),
+    "J -1000, ising-partition": (["ising-partition", "--J", "-1000"], None),
+    "J 400, ising-partition": (["ising-partition", "--J", "400"], None),
     "lambda 1/0": (["haar", "--lambda", "1/0"], None),
     "lambda 1/0 in a config file": (["haar"], {"measure": {"lambda": "1/0"}}),
     # trial seeds hash the master seed as a signed 64-bit integer
@@ -435,6 +440,22 @@ def test_non_finite_input_exit_2(tmp_path, capsys, argv, doc):
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
 
+
+
+@pytest.mark.parametrize("J", ["173.9", "-173.9"])
+def test_ising_partition_just_below_the_float64_cut_off(capsys, J):
+    # |J| n = 695.6, below log(float64 max) - 14 = 695.78
+    assert main(["ising-partition", "--J", J, "--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert math.isfinite(report["closed_form"]) and math.isfinite(report["brute_force"])
+
+
+def test_axioms_n6_within_five_seconds(capsys):
+    start = time.perf_counter()
+    assert main(["axioms", "--n", "6"]) == 0
+    assert time.perf_counter() - start < 5.0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["checks"], report["violations"]) == (17_592_448, 0)
 
 
 # Each subcommand checks the measure kinds cli.MEASURE_KINDS names; another

@@ -1,3 +1,4 @@
+import oracles
 import pytest
 
 from flipchain import (
@@ -125,3 +126,28 @@ def test_axioms_exhaustive_small():
     assert report["violations"] == 0
     assert report["checks"] > 0
     assert report["horizon"] == 2
+
+
+def test_axioms_guards():
+    with pytest.raises(ValueError):
+        axioms_report(-1)
+    with pytest.raises(HorizonOverflow):
+        axioms_report(21)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_axiom_sweep_matches_the_scalar_oracle(n):
+    got, want = axioms_report(n), oracles.axioms_report_scalar(n)
+    assert (got["checks"], got["violations"]) == (want["checks"], want["violations"])
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_axiom_check_count_closed_form(n):
+    """N = 2**n words and prefixes: the word law N(N + 2), seven checks per
+    (x, u), and per x the triples (x, u, v): 2 + 1 rejection + N associativity
+    for u != 0, 2 + N for u = 0."""
+    N = 1 << n
+    report = axioms_report(n)
+    assert report["checks"] == (N * (N + 2) + 7 * N * N
+                                + N * ((N - 1) * N * (N + 3) + N * (N + 2)))
+    assert report["violations"] == 0

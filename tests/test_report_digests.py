@@ -51,6 +51,11 @@ from flipchain.cli import main
 DIGESTS = {
     "axioms --n 3":
         (0, "fdf219b70450d9417ee2517807976845518c45210426b6a93e731332e5f88c8b"),
+    # the benchmark's horizon, and the next one (79,648 and 1,154,112 checks)
+    "axioms --n 4":
+        (0, "72147c95d0ca1949e95b2ecae1156a1b8cce114dec335d49d0a665ad46be5c17"),
+    "axioms --n 5":
+        (0, "179b933549e5c6b96205ddfc0f688acdeabbd44202e21905256e0ab6db8549a1"),
     "algebra --trials 20":
         (0, "d4a52a1225980dff57280e9aabd334ef03999f85570d0e0d3b877d7909937b8f"),
     "algebra --lambda 3/10 --trials 5":
