@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
-from .measures import CylinderFunction, MeasureSpec, _index, _integrate_rows, _max_abs
+from .measures import CylinderFunction, MeasureSpec, _index, _integrate_rows, _max_abs_rows
 
 # Convolutions whose operands hold at most this many rows between them (the
 # product of the row counts) loop over the row pairs; larger ones gather all
@@ -156,8 +156,6 @@ class AlgebraElement:
         _same_batch(self, other)
         d = max(self.depth, other.depth)
         F, G = self.lift(d), other.lift(d)
-        if not len(F.word):
-            return G._with(d, sign * G.values)
         rows = dict(zip(F._keys(), F.values))
         for key, g in zip(G._keys(), sign * G.values):
             rows[key] = rows[key] + g if key in rows else g
@@ -192,10 +190,8 @@ def _same_batch(F: AlgebraElement, G: AlgebraElement) -> None:
 
 def _sorted_rows(rows: dict, depth: int):
     """(tables, trials, words) of a {(trial, word): table} dict, in key order."""
-    if not rows:
-        return np.zeros((0, 1 << depth)), _NO_ROWS, _NO_ROWS
     keys = sorted(rows)
-    return (np.array([rows[k] for k in keys]),
+    return (np.array([rows[k] for k in keys]).reshape(len(keys), 1 << depth),
             np.array([t for t, _ in keys], dtype=np.int64),
             np.array([w for _, w in keys], dtype=np.int64))
 
@@ -235,17 +231,7 @@ def _per_word(F: AlgebraElement, spec: MeasureSpec, table):
     d = max([F.depth] + [spec.min_delta_depth(FlipWord(w)) for w in words])
     F = F.lift(d)
     built = {w: table(FlipWord(w), d) for w in words}
-    return F, np.array([built[w] for w in rows]) if rows else np.zeros((0, 1 << d))
-
-
-def _row_max_abs(rows: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of every row; NaN where any entry is NaN."""
-    if rows.dtype == object:
-        return np.array([_max_abs(row) for row in rows], dtype=np.float64)
-    if np.iscomplexobj(rows):
-        return np.abs(rows).max(axis=1)
-    # the two extremes give the same value without an |rows| copy
-    return np.maximum(np.abs(rows.max(axis=1)), np.abs(rows.min(axis=1)))
+    return F, np.array([built[w] for w in rows]).reshape(len(rows), 1 << d)
 
 
 def unit(depth: int = 0) -> AlgebraElement:
@@ -268,7 +254,7 @@ def max_abs_diff(F: AlgebraElement, G: AlgebraElement):
         for trial, rows in ((F.trial[both_f], _take(F, both_f) - _take(G, both_g)),
                             (F.trial[only_f], _take(F, only_f)),
                             (G.trial[only_g], _take(G, only_g))):
-            np.maximum.at(worst, trial, _row_max_abs(rows))
+            np.maximum.at(worst, trial, _max_abs_rows(rows))
     return F._per_trial(worst.tolist())
 
 
@@ -402,7 +388,7 @@ def inner_product(F: AlgebraElement, G: AlgebraElement, spec: MeasureSpec):
 
 def l2_norm(F: AlgebraElement, spec: MeasureSpec):
     """Hilbert-space norm: sqrt(sum_w integral |F_w|**2)."""
-    squares = _integrate_rows(spec, F.depth, np.conjugate(F.values) * F.values, real=True)
+    squares = _integrate_rows(spec, F.depth, (np.conjugate(F.values) * F.values).real)
     return F._per_trial([
         math.sqrt(float(sq.real if isinstance(sq, complex) else sq))
         for sq in _trial_totals(F, F.trial.tolist(), squares)

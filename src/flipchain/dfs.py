@@ -33,11 +33,6 @@ from .groupoid import FlipWord, check_depth
 from .measures import CylinderFunction, _max_abs, _read_only, _worse
 
 
-def _common_dtype(dtypes):
-    """The dtype that holds every table: object if any one holds objects."""
-    return object if any(t == object for t in dtypes) else np.result_type(*dtypes)
-
-
 class Cochain:
     """Order-k cochain: a table over k word arguments of cylinder functions.
 
@@ -117,7 +112,8 @@ class DfsTable(Cochain):
                 )
             d = max(d, f.depth)
         check_depth(d)  # before the rows are allocated
-        dtype = _common_dtype([f.values.dtype for f in entries.values()] or [np.float64])
+        # object if any one table holds objects
+        dtype = np.result_type(*[f.values.dtype for f in entries.values()] or [np.float64])
         rows = np.zeros((1 << n, 1 << d), dtype=dtype)
         for w, f in entries.items():
             rows[w.mask] = f.lift(d).values

@@ -117,16 +117,21 @@ def worst_by_check(rows) -> tuple[dict, dict]:
     return worst, witness
 
 
-def _max_abs(arr) -> float:
+def _max_abs_rows(rows: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of every row of a 2-d table, as float64: 0.0
+    for a row without entries, NaN where any entry is NaN."""
+    if rows.dtype == object:  # Fractions or Python complex, read as float once
+        rows = np.abs(rows).astype(np.float64)
+    if np.iscomplexobj(rows):
+        return np.abs(rows).max(axis=1, initial=0.0)
+    # the two extremes give the same value without an |rows| copy of the
+    # input; 0.0 + and 0.0 - read -0.0 as 0.0 and integers as float
+    return np.maximum(0.0 + rows.max(axis=1, initial=0), 0.0 - rows.min(axis=1, initial=0))
+
+
+def _max_abs(arr: np.ndarray) -> float:
     """Largest absolute entry; NaN if any entry is NaN."""
-    if arr.size == 0:
-        return 0.0
-    if arr.dtype == object:
-        return reduce(_worse, (float(abs(v)) for v in arr.flat), 0.0)
-    if np.iscomplexobj(arr):
-        return float(np.max(np.abs(arr)))
-    # the two extremes give the same value without an |arr| copy of the input
-    return _worse(abs(float(arr.max())), abs(float(arr.min())))
+    return float(_max_abs_rows(arr.reshape(1, -1))[0])
 
 
 class CylinderFunction:
@@ -230,12 +235,9 @@ class Bernoulli:
     def _weights(self, depth: int) -> np.ndarray:
         if self.exact:
             return self._fractions(depth)
-        w0, w1 = self.lam, 1.0 - self.lam
-        if depth == 0:
-            return np.array([w0 + w1])  # the single weight 1
-        site = np.array([w0, w1])
+        site = np.array([self.lam, 1.0 - self.lam])
         # site k is bit k-1, so later sites occupy more significant bits.
-        return reduce(lambda acc, _: np.kron(site, acc), range(depth - 1), site)
+        return reduce(lambda acc, _: np.kron(site, acc), range(depth), np.ones(1))
 
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon
@@ -333,10 +335,6 @@ class IsingBoltzmann:
         return (self.kind, type(self.J), self.J) + rest
 
     def weight_table(self, depth: int) -> np.ndarray:
-        check_depth(depth)
-        key = self._key("weight", depth)
-        if depth == 0:
-            return _cached(key, lambda: np.array([1.0]))
         # read on every call, not only in the build, so that the calls into
         # the bond coefficients do not depend on what is already cached
         c = ising_bond_coefficients(depth)
@@ -345,7 +343,7 @@ class IsingBoltzmann:
             w = np.exp(-self.J * c)
             return w / math.fsum(w)
 
-        return _cached(key, build)
+        return _cached(self._key("weight", depth), build)
 
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon + 1 if word else 0
@@ -392,10 +390,9 @@ def integrate(spec: MeasureSpec, f: CylinderFunction):
     return _integrate_rows(spec, f.depth, f.values[None, :])[0]
 
 
-def _integrate_rows(spec: MeasureSpec, depth: int, rows: np.ndarray,
-                    real: bool = False) -> list:
+def _integrate_rows(spec: MeasureSpec, depth: int, rows: np.ndarray) -> list:
     """The integral of every row of a (rows, 2**depth) table, as integrate
-    gives it; with real=True float tables give only the real parts."""
+    gives it."""
     weights = spec.weight_table(depth)
     if rows.dtype == object or weights.dtype == object:
         weights = weights.tolist()
@@ -410,8 +407,6 @@ def _integrate_rows(spec: MeasureSpec, depth: int, rows: np.ndarray,
     # one row of Python floats at a time: fsum reads lists fastest
     if not np.iscomplexobj(prod):
         return [math.fsum(row.tolist()) for row in prod]
-    if real:
-        return [math.fsum(row.tolist()) for row in prod.real]
     return [complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
             for re, im in zip(prod.real, prod.imag)]
 

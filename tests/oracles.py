@@ -217,6 +217,8 @@ def inner_product(F, G, spec):
 
 
 def l2_norm(F, spec) -> float:
+    """The complex-product route: <F, F> integrated as a complex number, of
+    which the norm reads the real part (the package integrates Re conj(F) F)."""
     sq = inner_product(F, F, spec)
     if isinstance(sq, complex):
         sq = sq.real

@@ -355,6 +355,17 @@ def test_batched_kernels_match_the_oracle_bit_for_bit(case, kernel_path):
 
 
 @pytest.mark.parametrize("case", BATCH_CASES)
+def test_l2_norm_equals_the_complex_product_route(case):
+    spec, Fs, Gs = batch_trials(case)
+    for lone in (Fs, Gs, [F + G for F, G in zip(Fs, Gs)],
+                 [oracles.convolve(F, G) for F, G in zip(Fs, Gs)]):
+        norms = l2_norm(AlgebraElement.batch(lone), spec)
+        for t in range(6):
+            assert same_scalar(norms[t], oracles.l2_norm(lone[t], spec))
+            assert same_scalar(l2_norm(lone[t], spec), norms[t])
+
+
+@pytest.mark.parametrize("case", BATCH_CASES)
 def test_batched_linear_structure_and_flow_match_lone_elements(case):
     spec, Fs, Gs = batch_trials(case)
     F, G = AlgebraElement.batch(Fs), AlgebraElement.batch(Gs)

@@ -47,6 +47,28 @@ def test_table_fills_missing_words():
     assert S.values[e(1).mask][0b1] == -1.0
 
 
+def _holding_all(dtypes):
+    """Object if any row holds objects, else the common numeric type: the
+    rule a table's dtype follows, not leaning on np.result_type for objects."""
+    return object if any(t == object for t in dtypes) else np.result_type(*dtypes)
+
+
+@pytest.mark.parametrize("mix", [
+    (), (np.int64,), (np.float64,), (np.complex128,), (object,), (np.int64, np.float64),
+    (np.int32, np.float32), (np.int64, np.complex128), (np.float64, object),
+    (np.int64, object, np.complex128), (object, object, np.float64, np.int64),
+], ids=lambda mix: "+".join(np.dtype(t).name for t in mix) or "no rows")
+def test_table_dtype_holds_every_row(mix):
+    def row(dtype):
+        if dtype is object:
+            return np.array([Fraction(k, 3) for k in range(4)], dtype=object)
+        return np.arange(4).astype(dtype)
+
+    entries = {FlipWord(m): CylinderFunction(2, row(t)) for m, t in enumerate(mix)}
+    want = _holding_all([np.dtype(t) for t in mix] or [np.float64])
+    assert DfsTable(2, entries).values.dtype == want
+
+
 def test_table_guards():
     with pytest.raises(InvariantViolation):
         DfsTable(1, {e(2): CylinderFunction.zero(2)})

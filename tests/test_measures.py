@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from flipchain import (
+    DEPTH_CAP,
     EMPTY_WORD,
     Bernoulli,
     CylinderFunction,
     DepthTooSmall,
     FlipWord,
     GroupoidElement,
+    HorizonOverflow,
     InvalidSpec,
     IsingBoltzmann,
     Prefix,
@@ -407,6 +409,45 @@ def test_max_abs_equals_max_of_abs(monkeypatch, arr):
         # a real input is folded from its extremes, never copied as |arr|
         monkeypatch.setattr(np, "abs", lambda *a, **k: pytest.fail("np.abs called"))
     assert repr(measures._max_abs(arr)) == repr(want)  # NaN is NaN, 0.0 is not -0.0
+
+
+MAX_ABS_TABLES = {
+    "NaN": np.array([[1.0, np.nan, -2.0], [-3.0, 0.5, 2.0]]),
+    "inf and -inf": np.array([[1.0, -np.inf, 2.0], [np.inf, 0.0, -1.0], [np.nan, np.inf, 1.0]]),
+    "-0.0": np.array([[-0.0, -0.0], [0.0, -0.0], [-1.0, -0.0]]),
+    "no entries": np.zeros((3, 0)),
+    "no rows": np.zeros((0, 4)),
+    "int64": np.array([[4, -7, 2], [0, 0, 0]], dtype=np.int64),
+    "complex": np.array([[3 + 4j, -1j], [complex(np.nan, 1.0), 2.0], [-0.0, -0.0j]]),
+    "object Fractions": np.array([[Fraction(1, 3), Fraction(-5, 2)], [Fraction(0), Fraction(-7)]],
+                                 dtype=object),
+    "object complex": np.array([[3 + 4j, -1.0], [complex(0, -2), 1j]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("rows", MAX_ABS_TABLES.values(), ids=MAX_ABS_TABLES)
+def test_max_abs_of_rows_and_of_whole_tables_equals_max_of_abs(monkeypatch, rows):
+    want = [repr(float(np.max(np.abs(row), initial=0.0))) for row in rows]
+    whole = repr(float(np.max(np.abs(rows), initial=0.0)))
+    if rows.dtype != object and not np.iscomplexobj(rows):
+        # real rows are folded from their extremes, never copied as |rows|
+        monkeypatch.setattr(np, "abs", lambda *a, **k: pytest.fail("np.abs called"))
+    got = measures._max_abs_rows(rows)
+    assert got.dtype == np.float64
+    assert [repr(v) for v in got.tolist()] == want  # NaN is NaN, 0.0 is not -0.0
+    assert repr(measures._max_abs(rows)) == whole
+
+
+@pytest.mark.parametrize("spec", [Bernoulli(lam) for lam in (1e-300, 0.1, 0.3, 0.5, 0.9)]
+                         + [IsingBoltzmann(J) for J in (-0.7, 0, 1, 2)], ids=repr)
+def test_depth_zero_weight_table_is_exactly_one(spec):
+    table = spec.weight_table(0)
+    assert table.dtype == np.float64
+    assert table.tobytes() == np.ones(1).tobytes()
+    if isinstance(spec, Bernoulli):  # the first site's weights, unrounded
+        assert spec.weight_table(1).tolist() == [spec.lam, 1.0 - spec.lam]
+    with pytest.raises(HorizonOverflow):
+        spec.weight_table(DEPTH_CAP + 1)
 
 
 def _same_bits(got, want) -> bool:

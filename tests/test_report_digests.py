@@ -96,6 +96,9 @@ DIGESTS = {
         (0, "495c867242dcc5bbc81064088974a9615b13b348d2c87cf709ef6f6a1793035a"),
     "algebra --n 5 --depth 8 --trials 10":
         (0, "9f51da8abbfa7356eac53a6edac3113174755769041e221c2533b55bbdd22bf8"),
+    # rows of 1,024 entries through the max-|entry| kernel and the row integral
+    "algebra --n 6 --depth 10 --trials 4":
+        (0, "bf19b150115400933f05148236d84488a5cd96e285a2404ecff1dcfe99476694"),
     "trace --trials 100":
         (0, "ca17dfb19351809e347476e14f7a13a92f8c56253664f97c3c2ff79029cd3082"),
     # the failure records of the other two subcommands that fold trials
