@@ -53,6 +53,7 @@ from .measures import (
     CylinderFunction,
     IsingBoltzmann,
     _worse,
+    check_fits,
     integrate,
     parse_lambda,
     partition_report,
@@ -174,6 +175,13 @@ def config_from_args(args) -> RunConfig:
                 f"{args.subcommand} checks no {kind} measure, so it does not read {name}")
     if "trials" in cfg.given and args.subcommand not in ("algebra", "glimm", "trace"):
         raise InvalidSpec(f"{args.subcommand} runs no --trials trials, so it does not read trials")
+    # the subcommands that build float delta tables, at the depth their kernels
+    # lift to (an Ising word of horizon n needs n + 1), before any table is
+    # built; haar keeps an exact measure's tables as integers
+    if args.subcommand in ("haar", "algebra", "trace", "ising-dynamics"):
+        spec = IsingBoltzmann(cfg.J) if kinds[0] == "ising" else Bernoulli(cfg.lam)
+        if not (args.subcommand == "haar" and spec.exact):
+            check_fits(spec, max(cfg.depth, spec.min_delta_depth(FlipWord((1 << cfg.n) - 1))))
     if args.subcommand == "glimm":  # the matrix side runs in float64
         cfg.lam = float(cfg.lam)
     return cfg
@@ -233,9 +241,15 @@ def cmd_haar(cfg: RunConfig):
 # table entries (trials times 2**depth, at least one trial): algebra and trace
 # as one batch per drawn element, glimm and ising-dynamics one trial at a
 # time.  Trial i still draws from rng_for(seed, i), and the reports do not
-# depend on the chunk size: it trades Python overhead against the size of the
-# working set.
-CHUNK_ENTRIES = 1 << 9
+# depend on the chunk size: it trades the fixed Python cost of each kernel
+# call (one delta table per distinct word, among others) against the size of
+# the working set.  A sweep of algebra-random on a 2-core VM (BENCH_chunk.json)
+# put pass_s at 2.08, 1.80, 1.77 and 1.54 reference s for 2**9 .. 2**12, and
+# peak RSS at +1.8%, +6.0% and +16.7% over 2**9.  2**12 is past +10% of RSS,
+# and ten alternating pairs did not tell 2**11 from 2**10 in pass_s (8 wins of
+# 10, medians 0.034 s apart against an IQR of 0.049 s), so the smaller
+# working set is kept.
+CHUNK_ENTRIES = 1 << 10
 
 
 def _chunks(cfg: RunConfig, count: int):

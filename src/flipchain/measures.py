@@ -247,6 +247,12 @@ class Bernoulli:
         """The lattice spacing log((1 - lam) / lam) of the energies."""
         return math.log((1 - float(self.lam)) / float(self.lam))
 
+    def max_log_delta(self, depth: int) -> float:
+        """The largest |log delta| of a word at depth, depth |log(b / a)| for
+        the word of every site; also the spread of the log-weights there."""
+        a, q = self.lam.as_integer_ratio()
+        return depth * abs(math.log(q - a) - math.log(a))  # exact ints: no float cast to overflow
+
     def lattice_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """Integer table of k = sum over flipped sites of (2 x_j - 1), the
         exact lattice index of log delta = step * k."""
@@ -348,6 +354,11 @@ class IsingBoltzmann:
     def min_delta_depth(self, word: FlipWord) -> int:
         return word.horizon + 1 if word else 0
 
+    def max_log_delta(self, depth: int) -> float:
+        """The largest |log delta| of a word at depth, 2 |J| (depth - 1): a word
+        of alternate sites turns every bond; also the spread of the log-weights."""
+        return 2 * abs(self.J) * max(depth - 1, 0)
+
     def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
         """e^{-S}; independent of depth >= horizon + 1."""
         return _read_only(np.exp(-self.J * ising_energy_table(word, depth)))
@@ -445,8 +456,21 @@ def partition_function_closed_form(J: float, n: int) -> float:
     return (2.0 * math.cosh(J)) ** n
 
 
+# The largest |log x| of a finite float64 x.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def check_fits(spec: MeasureSpec, depth: int) -> None:
+    """Refuse a measure whose tables at depth leave float64: its largest
+    |log delta| there, the spread of its log-weights too, above LOG_FLOAT_MAX."""
+    bound = spec.max_log_delta(depth)
+    if bound > LOG_FLOAT_MAX:
+        raise InvalidSpec(f"the largest |log delta| at depth {depth} is {bound:.6g}, past "
+                          f"log(float64 max) = {LOG_FLOAT_MAX:.2f}: its tables leave float64")
+
+
 # (2 cosh J)**n <= 2**n e**(|J| n) bounds partition_report, and 2**n < e**14 at n <= 20.
-_PARTITION_EXPONENT_CAP = math.log(sys.float_info.max) - 14
+_PARTITION_EXPONENT_CAP = LOG_FLOAT_MAX - 14
 
 
 def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:

@@ -439,6 +439,9 @@ def test_algebra_report_names_the_nan_trial(monkeypatch, capsys):
 # argv -> exit status; every subcommand that folds trials runs them in chunks
 CHUNKED_RUNS = {
     "algebra --trials 7": 0,
+    # V lifts to its chunk's largest horizon + 1; the absolute tolerance fails trial 5
+    "algebra --measure ising --trials 7": 1,
+    "algebra --lambda 3/10 --trials 7": 0,  # exact tables, the object path
     "trace --trials 7": 0,
     "algebra --tol 1e-30 --trials 7": 1,  # the witness trial too
     "glimm --trials 7": 0,
@@ -456,3 +459,13 @@ def test_reports_do_not_depend_on_the_chunking(monkeypatch, capsys, argv):
         assert cli.main(argv.split()) == CHUNKED_RUNS[argv]
         reports[per_chunk] = capsys.readouterr().out
     assert reports[1] == reports[3] == reports[7]
+
+
+def test_chunks_cover_every_trial_once_in_bounded_chunks():
+    # at the shipped CHUNK_ENTRIES
+    for depth in range(DEPTH_CAP + 1):
+        size = max(1, cli.CHUNK_ENTRIES >> depth)
+        for count in (0, 1, size - 1, size, size + 1, 1000):
+            chunks = list(cli._chunks(cli.RunConfig(depth=depth), count))
+            assert [i for chunk in chunks for i in chunk] == list(range(count))
+            assert all(1 <= len(chunk) <= size for chunk in chunks)

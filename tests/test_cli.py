@@ -419,6 +419,16 @@ NON_FINITE_INPUTS = {
     "J 800, ising-partition": (["ising-partition", "--J", "800"], None),
     "J -1000, ising-partition": (["ising-partition", "--J", "-1000"], None),
     "J 400, ising-partition": (["ising-partition", "--J", "400"], None),
+    # the largest |log delta| at the run's depth past log(float64 max) = 709.78
+    "lambda 1e-300, algebra": (["algebra", "--lambda", "1e-300", "--trials", "2"], None),
+    "lambda 1e-320, trace": (["trace", "--lambda", "1e-320"], None),
+    "lambda 1e-300 float in a config file, haar": (["haar"], {"measure": {"lambda": 1e-300}}),
+    "J 800, haar": (["haar", "--measure", "ising", "--J", "800", "--n", "2", "--depth", "3"], None),
+    "J 800, ising-dynamics": (["ising-dynamics", "--J", "800", "--n", "2", "--depth", "3"], None),
+    # 2 |J| (depth - 1) = 356 at depth 2, but 712 at depth 3, where the kernels lift
+    "J 178 lifted past the cut-off, algebra": (
+        ["algebra", "--measure", "ising", "--J", "178", "--n", "2", "--depth", "2",
+         "--trials", "2"], None),
     "lambda 1/0": (["haar", "--lambda", "1/0"], None),
     "lambda 1/0 in a config file": (["haar"], {"measure": {"lambda": "1/0"}}),
     # trial seeds hash the master seed as a signed 64-bit integer
@@ -448,6 +458,31 @@ def test_ising_partition_just_below_the_float64_cut_off(capsys, J):
     assert main(["ising-partition", "--J", J, "--n", "4"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert math.isfinite(report["closed_form"]) and math.isfinite(report["brute_force"])
+
+
+@pytest.mark.parametrize("argv", [
+    "ising-dynamics --J 2",  # tolerance defects, not overflow
+    "ising-dynamics --n 3 --J 30",
+    "algebra --measure ising --J 177 --n 2 --depth 2 --trials 2",  # 708 at depth 3
+    "trace --lambda 1e-51",  # 6 |log(b / a)| = 704.6
+])
+def test_tables_within_float64_are_accepted(argv):
+    cli.config_from_args(cli.build_parser().parse_args(argv.split()))
+
+
+def test_haar_just_below_the_float64_cut_off(capsys):
+    # 2 |J| (depth - 1) = 708, below log(float64 max) = 709.78
+    code, doc = run_json(capsys, "haar", "--measure", "ising", "--J", "177", "--n", "2",
+                         "--depth", "3")
+    assert code == 0 and math.isfinite(doc["report"]["max_rel_deviation"])
+
+
+def test_haar_exact_lambda_past_the_float64_cut_off(capsys):
+    # 6 |log(b / a)| = 4145, but haar compares an exact measure's integers
+    code, doc = run_json(capsys, "haar", "--lambda", "1e-300")
+    assert code == 0 and doc["report"]["max_rel_deviation"] == 0.0
+    assert all(row["exact_zero"] for row in doc["report"]["covariance"])
+    assert all(row["exact_zero"] for row in doc["report"]["projection"])
 
 
 def test_axioms_n6_within_five_seconds(capsys):
