@@ -398,20 +398,17 @@ def cmd_trace(cfg: RunConfig):
         spec = Bernoulli(lam)
         if float(lam) == 0.5:
             worst = _run_trials(cfg, lambda trials: commutators(trials, spec))[0]["commutator"]
-            row = {
-                "lambda": float(lam),
-                "mode": "tracial",
-                "max_commutator_deviation": worst,
-                "passed": worst <= cfg.tol,
-            }
-            invariant = "trace property at the symmetric point"
+            row = {"lambda": float(lam), "mode": "tracial", "max_commutator_deviation": worst}
+            check = ("trace property at the symmetric point", worst)
         else:
             wit = _trace_witness(spec)
-            passed = wit["violation"] >= wit["floor"] - cfg.tol
-            row = {"lambda": float(lam), "mode": "witness", **wit, "passed": passed}
-            invariant = "trace violation witness fell below its floor"
-        if not row["passed"] and failure is None:
-            failure = {"invariant": invariant, "witness": {"lambda": float(lam)}}
+            row = {"lambda": float(lam), "mode": "witness", **wit}
+            # the shortfall of the asymmetry below its floor
+            check = ("trace violation witness fell below its floor",
+                     wit["floor"] - wit["violation"])
+        row_failure = _first_failure(cfg.tol, (*check, {"lambda": float(lam)}))
+        row["passed"] = row_failure is None
+        failure = failure or row_failure
         rows.append(row)
     report = {
         "trials": cfg.trials,
@@ -555,13 +552,8 @@ def cmd_spectrum(cfg: RunConfig):
         "attained_k": attained["attained_k"],
         "matches_window": attained["matches_window"],
     }
-    failure = None
-    if not attained["matches_window"]:
-        failure = {
-            "invariant": "attained lattice window",
-            "witness": {"attained_k": attained["attained_k"]},
-        }
-    return report, failure
+    return report, _first_failure(0, ("attained lattice window", attained["mismatched"],
+                                      {"attained_k": attained["attained_k"]}))
 
 
 COMMANDS = {

@@ -10,7 +10,7 @@ import pytest
 from flipchain import cli, dfs
 from flipchain.cli import main
 from flipchain.groupoid import FlipWord
-from flipchain.ising import NonCocyclePerturbation
+from flipchain.ising import NonCocyclePerturbation, attained_spectrum
 
 
 def run(capsys, *argv):
@@ -126,6 +126,55 @@ def test_trace_sweep_and_single(capsys):
     assert code_s == 0
     (row,) = doc_s["report"]["sweep"]
     assert row["violation"] >= row["floor"] - 1e-12
+
+
+def test_trace_nan_commutator_fails(monkeypatch, capsys):
+    # the weights take batches of trials and give one weight per trial
+    monkeypatch.setattr(cli, "canonical_weight", lambda F, spec: [math.nan] * F.trials)
+    code, doc = run_json(capsys, "trace", "--lambda", "0.5", "--trials", "2")
+    assert code == 1
+    assert doc["failure"] == {"invariant": "trace property at the symmetric point",
+                              "witness": {"lambda": 0.5}}
+    (row,) = doc["report"]["sweep"]
+    assert row["passed"] is False and math.isnan(row["max_commutator_deviation"])
+
+
+def _stub_witness(monkeypatch, violation, floor=1.0):
+    monkeypatch.setattr(cli, "_trace_witness", lambda spec: {
+        "violation": violation, "floor": floor, "forward": 0.0, "backward": 0.0})
+
+
+def test_trace_nan_witness_fails(monkeypatch, capsys):
+    _stub_witness(monkeypatch, math.nan)
+    code, doc = run_json(capsys, "trace", "--lambda", "0.3")
+    assert code == 1
+    assert doc["failure"] == {"invariant": "trace violation witness fell below its floor",
+                              "witness": {"lambda": 0.3}}
+    assert doc["report"]["sweep"][0]["passed"] is False
+
+
+def test_trace_witness_floor_is_met_at_tol(monkeypatch, capsys):
+    # floor - tol and floor - violation are exact here: the shortfall is tol itself
+    tol = 2.0 ** -10
+    _stub_witness(monkeypatch, 1.0 - tol)
+    code, doc = run_json(capsys, "trace", "--lambda", "0.3", "--tol", str(tol))
+    assert code == 0 and doc["report"]["sweep"][0]["passed"] is True
+    _stub_witness(monkeypatch, math.nextafter(1.0 - tol, 0.0))
+    code, doc = run_json(capsys, "trace", "--lambda", "0.3", "--tol", str(tol))
+    assert code == 1 and doc["report"]["sweep"][0]["passed"] is False
+
+
+def test_spectrum_missing_window_point_fails(monkeypatch, capsys):
+    def without_zero(lam, horizon):
+        attained = attained_spectrum(lam, horizon)
+        attained["attained_k"].remove(0)
+        return {**attained, "matches_window": False, "mismatched": 1}
+
+    monkeypatch.setattr(cli, "attained_spectrum", without_zero)
+    code, doc = run_json(capsys, "spectrum", "--n", "3")
+    assert code == 1
+    assert doc["failure"] == {"invariant": "attained lattice window",
+                              "witness": {"attained_k": [-3, -2, -1, 1, 2, 3]}}
 
 
 def test_spectrum_and_degenerate(capsys):
@@ -561,7 +610,7 @@ def test_checked_measure_parameter_in_a_config_file(tmp_path, capsys):
 
 
 def test_measure_kinds_cover_every_subcommand():
-    assert cli.MEASURE_KINDS.keys() == set(cli.COMMANDS) | {"dfs-check"}
+    assert cli.MEASURE_KINDS.keys() == cli.COMMANDS.keys()
 
 
 def test_checked_measure_may_be_named(capsys):

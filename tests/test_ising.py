@@ -135,8 +135,19 @@ def test_spectrum_points():
 def test_attained_spectrum_window():
     for horizon in (1, 2, 3, 4):
         rep = attained_spectrum(0.3, horizon)
-        assert rep["matches_window"] is True
+        assert rep["matches_window"] is True and rep["mismatched"] == 0
         assert rep["attained_k"] == list(range(-horizon, horizon + 1))
+
+
+def test_attained_spectrum_counts_the_points_off_the_window(monkeypatch):
+    # every index read as 0 (attained {0}) and as 1 (attained {1}) misses
+    # 2 * horizon window points; an index of horizon + 1 adds one outside it
+    for k, mismatched in ((0, 6), (1, 6), (4, 8)):
+        monkeypatch.setattr(Bernoulli, "lattice_table",
+                            lambda self, word, depth, k=k: np.full(1 << depth, k))
+        rep = attained_spectrum(0.3, 3)
+        assert rep["attained_k"] == [k]
+        assert rep["mismatched"] == mismatched and rep["matches_window"] is False
 
 
 def test_tt_evolve_basics():
