@@ -15,6 +15,7 @@ from flipchain import (
     convolve,
     glimm_map,
     gns_deviation,
+    max_abs_diff,
     pauli_operator,
     powers_state,
     rng_for,
@@ -46,11 +47,7 @@ u = PauliWord(((1, 1),))
 v = PauliWord(((2, 3),))
 lhs = glimm_map(PauliWord(((1, 1), (2, 3))), mu)
 rhs = convolve(glimm_map(u, mu), glimm_map(v, mu))
-dev = max(
-    float(np.max(np.abs(lhs.term(wd).values - rhs.term(wd).values)))
-    for wd in set(lhs.support) | set(rhs.support)
-)
-print("multiplicativity deviation:", dev)
+print("multiplicativity deviation:", max_abs_diff(lhs, rhs))
 
 # the randomized cross-check the acceptance gate and `flipchain glimm` run
 # at scale, one trial per generator

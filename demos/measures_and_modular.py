@@ -11,28 +11,27 @@ from fractions import Fraction
 from flipchain import (
     Bernoulli,
     CylinderFunction,
-    GroupoidElement,
     IsingBoltzmann,
-    Prefix,
     e,
     integrate,
-    inverse,
     translation_covariance_check,
 )
+from flipchain.groupoid import inverse_masks
 
 lam = Fraction(3, 10)
 mu = Bernoulli(lam)
 print("exact arithmetic:", mu.exact)
 
-# weight of the cylinder fixing the first two bits to (1, 0); site k is bit k-1
-p = Prefix(2, 0b01)
-print("weight of [1 0 * * ...] =", mu.weight_table(p.depth)[p.bits])
+# weight of the cylinder fixing the first two bits to (1, 0); site k is bit
+# k-1 of the prefix mask
+print("weight of [1 0 * * ...] =", mu.weight_table(2)[0b01])
 
-# flipping site 1 away from a lambda-weighted bit costs (1-lam)/lam
-g = GroupoidElement(Prefix(3, 0b001), e(1))
-delta = mu.delta_table(g.flips, 3)  # Delta at every depth-3 prefix
-print("Delta at x1=1, flip {1}:", delta[g.point.bits])            # 7/3
-print("Delta at the inverse:", delta[inverse(g).point.bits])      # 3/7
+# flipping site 1 away from a lambda-weighted bit costs (1-lam)/lam; the
+# transition (x, w) is a pair of masks
+x, w = 0b001, e(1)
+delta = mu.delta_table(w, 3)  # Delta at every depth-3 prefix
+print("Delta at x1=1, flip {1}:", delta[x])                            # 7/3
+print("Delta at the inverse:", delta[inverse_masks(x, w.mask)[0]])      # 3/7
 
 # psi_k is +1 on bit 0, -1 on bit 1; its mean is 2*lam - 1
 psi1 = CylinderFunction.psi(1, 3, exact=True)

@@ -2,47 +2,40 @@
 Walking the flip groupoid
 =========================
 
-A transition is a pair (point, word): an infinite bit string seen through a
-depth-D window, plus a finite set of sites to flip.  Composition chains two
-transitions when the middle points line up.
+A transition is a pair (x, w) of integer masks: a point x, an infinite bit
+string seen through a depth-D window, and a word w, the finite set of sites
+to flip.  Composition chains two transitions when the middle points line up.
+The package runs exactly this law on masks, for ints and arrays alike.
 """
 
-from flipchain import (
-    EMPTY_WORD,
-    FlipWord,
-    GroupoidElement,
-    Prefix,
-    axioms_report,
-    compose,
-    e,
-    enumerate_gamma,
-    identity,
-    inverse,
-)
+from flipchain import EMPTY_WORD, FlipWord, axioms_report, e, enumerate_gamma
+from flipchain.groupoid import composable, compose_masks, inverse_masks, source, target
 
 # a word is just a bitmask over sites 1, 2, 3, ...
 w = FlipWord.from_sites([1, 3])
 print("word", w, "mask", bin(w.mask), "sites", w.sites, "horizon", w.horizon)
 
-# prefixes are depth-D windows; site k reads bit k-1
-p = Prefix(4, 0b0101)
-print("prefix bits", [p.bit(k) for k in (1, 2, 3, 4)])
+# points are depth-D windows, masks too; site k reads bit k-1
+x = 0b0101
+print("point bits", [x >> (k - 1) & 1 for k in (1, 2, 3, 4)])
 
 # acting by w flips the named sites
-print("p ^ w =", [(p ^ w).bit(k) for k in (1, 2, 3, 4)])
+print("x ^ w =", [(x ^ w.mask) >> (k - 1) & 1 for k in (1, 2, 3, 4)])
 
-g = GroupoidElement(p, w)
-print("source", g.source.bits, "-> target", g.target.bits)
+g = (x, w.mask)
+print("source", source(*g), "-> target", target(*g))
 
 # compose: h acts after g, so h must start where g lands
-h = GroupoidElement(p ^ e(2), e(2))
-hg = compose(h, g)
-print("composed word", hg.flips.sites)
+h = (x ^ e(2).mask, e(2).mask)
+print("h after g is defined:", composable(*h, target(*g)))
+hg = compose_masks(*h, g[1])
+print("composed word", FlipWord(hg[1]).sites)
 
 # inverses swap the endpoints; the word is its own inverse under xor
-gi = inverse(g)
-print("inverse source", gi.source.bits)
-print("g^-1 after g is the unit:", compose(gi, g) == identity(p ^ w))
+gi = inverse_masks(*g)
+print("inverse source", source(*gi))
+print("g^-1 after g is the unit:",
+      composable(*gi, target(*g)) and compose_masks(*gi, g[1]) == (source(*g), 0))
 
 # the finite slice at horizon n has 2^n words
 print("words at horizon 3:", [u.mask for u in enumerate_gamma(3)])

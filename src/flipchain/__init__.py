@@ -36,13 +36,11 @@ from .dfs import (
 )
 from .errors import (
     DegenerateSpectrum,
-    DepthMismatch,
     DepthTooSmall,
     FlipchainError,
     HorizonOverflow,
     InvalidSpec,
     InvariantViolation,
-    NotComposable,
     OrderUnsupported,
     SiteOutOfRange,
 )
@@ -50,24 +48,15 @@ from .groupoid import (
     DEPTH_CAP,
     EMPTY_WORD,
     FlipWord,
-    GroupoidElement,
-    Prefix,
     axioms_report,
     check_depth,
-    compose,
     e,
     enumerate_gamma,
-    enumerate_prefixes,
-    identity,
-    inverse,
 )
 from .ising import (
     NonCocyclePerturbation,
     attained_spectrum,
     heisenberg_equivalence_check,
-    ising_dfs_coefficients,
-    ising_dfs_table,
-    ising_energy_brute,
     modular_spectrum_points,
     tt_evolve,
 )

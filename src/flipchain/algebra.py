@@ -139,10 +139,6 @@ class AlgebraElement:
     def support(self) -> list:
         return list(self.terms)
 
-    def term(self, w: FlipWord) -> CylinderFunction:
-        """The cylinder function at a word; zeros when the word is absent."""
-        return self.terms.get(w) or CylinderFunction.zero(self.depth)
-
     def lift(self, depth: int) -> "AlgebraElement":
         if depth <= self.depth:
             return self

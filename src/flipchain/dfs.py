@@ -56,10 +56,6 @@ class Cochain:
         self.order, self.n, self.depth = order, n, depth
         self.values = _read_only(values.view())
 
-    @classmethod
-    def from_cylinder(cls, f: CylinderFunction, n: int) -> "Cochain":
-        return cls(0, n, f.depth, f.values)
-
     @property
     def exact(self) -> bool:
         dtype = self.values.dtype

@@ -5,14 +5,6 @@ class FlipchainError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NotComposable(FlipchainError):
-    """Two transitions fail the composability condition source(a) = target(b)."""
-
-
-class DepthMismatch(FlipchainError):
-    """Two prefixes of different depths were combined."""
-
-
 class InvalidSpec(FlipchainError):
     """A measure specification is outside its admissible parameter range."""
 

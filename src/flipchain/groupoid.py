@@ -1,4 +1,4 @@
-"""The bit-flip groupoid over binary sequences: its law on masks, and views.
+"""The bit-flip groupoid over binary sequences: flip words and the law on masks.
 
 The base space is the set of infinite binary sequences, represented by finite
 prefixes: every consumer in this package is a cylinder function, so a depth-D
@@ -10,10 +10,8 @@ A transition (x, w) is a point mask x and a word mask w of flipped sites: it
 ends at x and starts at source(x, w) = x ^ w.  Flip words form an abelian
 2-group under symmetric difference; (x, u) composes with (y, v) iff
 y = x ^ u, to (x, u ^ v), and (x, w)^-1 = (x ^ w, w).  This law takes Python
-ints or integer arrays alike: `axioms_report` broadcasts it over all prefixes
-and words at once, and `GroupoidElement`, `compose`, `inverse` and `identity`
-are validated views that raise rather than zero-extend when a prefix is too
-shallow, to surface depth bugs.
+ints or integer arrays alike, and it is the one representation of a
+transition: `axioms_report` broadcasts it over all prefixes and words at once.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import DepthMismatch, DepthTooSmall, HorizonOverflow, NotComposable
+from .errors import HorizonOverflow
 
 # Tables hold 2**depth entries; refuse anything larger than this by default.
 DEPTH_CAP = 20
@@ -98,43 +96,6 @@ def e(k: int) -> FlipWord:
     return FlipWord.from_sites([k])
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """The first `depth` coordinates of a base point, stored as a bitmask."""
-
-    depth: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.depth < 0:
-            raise ValueError("prefix depth must be nonnegative")
-        if not 0 <= self.bits < 1 << self.depth:
-            raise ValueError(
-                f"bits {self.bits} outside the range of depth {self.depth}"
-            )
-
-    def bit(self, site: int) -> int:
-        """Coordinate of the point at a 1-based site."""
-        if site < 1:
-            raise ValueError(f"site indices are 1-based, got {site}")
-        if site > self.depth:
-            raise DepthTooSmall(f"site {site} beyond prefix depth {self.depth}")
-        return self.bits >> (site - 1) & 1
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.bits >> k & 1 for k in range(self.depth))
-
-    def __xor__(self, word: FlipWord) -> "Prefix":
-        if word.horizon > self.depth:
-            raise DepthTooSmall(
-                f"word with horizon {word.horizon} applied to depth-{self.depth} prefix"
-            )
-        return Prefix(self.depth, self.bits ^ word.mask)
-
-    def __repr__(self):
-        return "Prefix(%s)" % "".join(map(str, self.as_tuple()))
-
-
 # The law on masks (see the module docstring), for ints and arrays alike.
 def source(x, w):
     return x ^ w
@@ -156,64 +117,12 @@ def inverse_masks(x, w):
     return source(x, w), w
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
-    """A transition: target prefix together with the word of flipped sites."""
-
-    point: Prefix
-    flips: FlipWord = EMPTY_WORD
-
-    def __post_init__(self):
-        if self.flips.horizon > self.point.depth:
-            raise DepthTooSmall(f"flip horizon {self.flips.horizon} exceeds prefix "
-                                f"depth {self.point.depth}")
-
-    @property
-    def target(self) -> Prefix:
-        return Prefix(self.point.depth, target(self.point.bits, self.flips.mask))
-
-    @property
-    def source(self) -> Prefix:
-        return Prefix(self.point.depth, source(self.point.bits, self.flips.mask))
-
-    def __repr__(self):
-        return f"({self.point!r}, {self.flips!r})"
-
-
-def identity(point: Prefix) -> GroupoidElement:
-    """The unit transition at a point."""
-    return GroupoidElement(point, EMPTY_WORD)
-
-
-def compose(a: GroupoidElement, b: GroupoidElement) -> GroupoidElement:
-    """Compose two transitions; defined iff source(a) = target(b)."""
-    if a.point.depth != b.point.depth:
-        raise DepthMismatch(f"prefix depths differ: {a.point.depth} vs {b.point.depth}")
-    x, u = a.point.bits, a.flips.mask
-    if not composable(x, u, target(b.point.bits, b.flips.mask)):
-        raise NotComposable(f"source of {a!r} is not the target of {b!r}")
-    x, w = compose_masks(x, u, b.flips.mask)
-    return GroupoidElement(Prefix(a.point.depth, x), FlipWord(w))
-
-
-def inverse(a: GroupoidElement) -> GroupoidElement:
-    """The reversed transition: (x, w)^-1 = (x + w, w)."""
-    x, w = inverse_masks(a.point.bits, a.flips.mask)
-    return GroupoidElement(Prefix(a.point.depth, x), FlipWord(w))
-
-
 def enumerate_gamma(n: int) -> list[FlipWord]:
     """All 2**n flip words with horizon <= n, in ascending-bitmask order."""
     if n < 0:
         raise ValueError("horizon must be nonnegative")
     check_depth(n)
     return [FlipWord(m) for m in range(1 << n)]
-
-
-def enumerate_prefixes(depth: int) -> list[Prefix]:
-    """All 2**depth prefixes in ascending-bitmask order."""
-    check_depth(depth)
-    return [Prefix(depth, m) for m in range(1 << depth)]
 
 
 # The axiom sweep's chunks along the prefix axis span this many (x, u, v, w).
@@ -245,8 +154,8 @@ def axioms_report(n: int) -> dict:
     """
     t0 = perf_counter()
     masks = [w.mask for w in enumerate_gamma(n)]
-    words = np.array(masks, np.min_scalar_type(masks[-1]))
-    prefixes = np.array([p.bits for p in enumerate_prefixes(n)], words.dtype)
+    # at horizon n the words and the depth-n prefixes are the same 2**n masks
+    prefixes = words = np.array(masks, np.min_scalar_type(masks[-1]))
     checks = violations = 0
 
     def tally(operands, *families):

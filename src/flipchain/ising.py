@@ -19,10 +19,9 @@ import numpy as np
 from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
 # the one depth rule of the modular maps, and their per-word tables
 from .algebra import _per_word
-from .dfs import DfsTable
-from .errors import DegenerateSpectrum, DepthTooSmall, InvalidSpec
-from .groupoid import FlipWord, GroupoidElement
-from .measures import Bernoulli, CylinderFunction, ising_energy_table
+from .errors import DegenerateSpectrum, InvalidSpec
+from .groupoid import FlipWord
+from .measures import Bernoulli, CylinderFunction
 
 
 class NonCocyclePerturbation:
@@ -51,34 +50,6 @@ class NonCocyclePerturbation:
         if 1 in word.sites:
             out = out + self.amplitude * CylinderFunction.psi(2, depth).values
         return out
-
-
-def ising_energy_brute(J: float, g: GroupoidElement) -> float:
-    """Independent route: full bond sums of truncated chains, then subtract.
-
-    Each sum reads the spins site by site from the prefix, sharing no table
-    with ising_energy_table; H = -J * sum, so S = -J * (sum at the source -
-    sum at the target).
-    """
-    def bond_sum(p):
-        spins = [1 - 2 * p.bit(k) for k in range(1, p.depth + 1)]
-        return sum(a * b for a, b in zip(spins, spins[1:]))
-
-    return -J * (bond_sum(g.point ^ g.flips) - bond_sum(g.point))
-
-
-def ising_dfs_coefficients(n: int, D: int):
-    """The S / J tables on all words up to horizon n, in exact integers."""
-    if D < n + 1:
-        raise DepthTooSmall(f"horizon {n} tables need depth >= {n + 1}, got {D}")
-    rows = [ising_energy_table(FlipWord(m), D) for m in range(1 << n)]
-    return DfsTable.of_rows(np.stack(rows))
-
-
-def ising_dfs_table(J: float, n: int, D: int):
-    """Float tables of S on all words up to horizon n at depth D."""
-    coeffs = ising_dfs_coefficients(n, D)
-    return DfsTable.of_rows(float(J) * coeffs.values.astype(np.float64))
 
 
 def modular_spectrum_points(lam, horizon: int) -> set:

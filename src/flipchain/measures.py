@@ -161,10 +161,6 @@ class CylinderFunction:
         return cls(depth, np.full(1 << depth, float(value)))
 
     @classmethod
-    def zero(cls, depth: int) -> "CylinderFunction":
-        return cls(depth, np.zeros(1 << depth))
-
-    @classmethod
     def psi(cls, k: int, depth: int, exact: bool = False) -> "CylinderFunction":
         """The site observable: +1 where bit k is 0, -1 where it is 1."""
         if k < 1:

@@ -1,15 +1,19 @@
 """Independent scalar and Kronecker oracles for the package's table kernels.
 
 Each one recomputes a quantity site by site, sharing no table with the
+package.  A transition is a pair (x, w) of Python int masks, as in the
 package: the Bernoulli cylinder weight and modular function of one prefix,
-a Pauli word as the Kronecker product of its one-site matrices, the inverse
-modular tables built directly (the package reads them across the flip),
-the Bernoulli lattice index and the Ising bond sums summed site by site (the
-package counts bits) and the product-state diagonal as a Kronecker product.
-The convolution algebra's kernels get their one-trial, word-by-word
-definitions below, and random elements their word-by-word draw.  The
-groupoid axioms get the object-by-object sweep over GroupoidElement views,
-one compose call per instance (the package broadcasts over mask arrays).
+the Ising transition energy as the difference of two bond sums read spin by
+spin, a Pauli word as the Kronecker product of its one-site matrices, the
+inverse modular tables built directly (the package reads them across the
+flip), the Bernoulli lattice index and the Ising bond sums summed site by
+site (the package counts bits) and the product-state diagonal as a Kronecker
+product.  The convolution algebra's kernels get their one-trial,
+word-by-word definitions below, and random elements their word-by-word
+draw.  The groupoid axioms get a scalar sweep over int pairs that writes the
+groupoid law out itself (the package broadcasts its own mask law over
+arrays).  `ising_dfs_coefficients` is no oracle: it stacks the package's
+Ising tables into the exact DFS table that the cocycle checks read.
 """
 
 import math
@@ -23,14 +27,9 @@ from flipchain import (
     EMPTY_WORD,
     AlgebraElement,
     CylinderFunction,
+    DfsTable,
     FlipWord,
-    GroupoidElement,
-    NotComposable,
-    compose,
-    enumerate_gamma,
-    enumerate_prefixes,
-    identity,
-    inverse,
+    ising_energy_table,
 )
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -38,22 +37,45 @@ SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]])
 ID2 = np.eye(2)
 
 
-def bernoulli_weight(lam, p):
-    """Weight of the cylinder of prefix p: lam per 0 bit, 1 - lam per 1 bit."""
+def _bit(x: int, site: int) -> int:
+    """The coordinate of prefix mask x at a 1-based site."""
+    return x >> (site - 1) & 1
+
+
+def bernoulli_weight(lam, x: int, depth: int):
+    """Weight of the cylinder of the depth-`depth` prefix x: lam per 0 bit,
+    1 - lam per 1 bit."""
     out = lam / lam  # exact or float one
-    for k in range(1, p.depth + 1):
-        out = out * ((1 - lam) if p.bit(k) else lam)
+    for k in range(1, depth + 1):
+        out = out * ((1 - lam) if _bit(x, k) else lam)
     return out
 
 
-def bernoulli_delta(lam, g):
-    """Modular function of one transition: prod over flipped sites k of
-    r**(2 x_k - 1), with r = (1 - lam) / lam."""
+def bernoulli_delta(lam, x: int, w: int):
+    """Modular function of the transition (x, w): prod over flipped sites k
+    of r**(2 x_k - 1), with r = (1 - lam) / lam."""
     r = (1 - lam) / lam
     out = r / r
-    for k in g.flips.sites:
-        out = out * (r if g.point.bit(k) else 1 / r)
+    for k in FlipWord(w).sites:
+        out = out * (r if _bit(x, k) else 1 / r)
     return out
+
+
+def ising_energy(J, x: int, w: int, depth: int) -> float:
+    """S(x, w) of the Ising chain: full bond sums of the truncated chains at
+    the source and at the target, then subtract.  H = -J * sum, so S = -J *
+    (sum at x ^ w - sum at x)."""
+    def bond_sum(p):
+        spins = [1 - 2 * _bit(p, k) for k in range(1, depth + 1)]
+        return sum(a * b for a, b in zip(spins, spins[1:]))
+
+    return -J * (bond_sum(x ^ w) - bond_sum(x))
+
+
+def ising_dfs_coefficients(n: int, depth: int) -> DfsTable:
+    """The S / J tables on all words up to horizon n, in exact integers."""
+    return DfsTable.of_rows(np.stack([ising_energy_table(FlipWord(m), depth)
+                                      for m in range(1 << n)]))
 
 
 def bernoulli_delta_inv_table(lam, word, depth: int) -> np.ndarray:
@@ -140,9 +162,11 @@ def integrate(spec, f):
 def max_abs_diff(F, G) -> float:
     d = max(F.depth, G.depth)
     F, G = F.lift(d), G.lift(d)
+    zeros = np.zeros(1 << d)
     out = 0.0
     for w in sorted(set(F.terms) | set(G.terms)):
-        out = _worse(out, _max_abs(F.term(w).values - G.term(w).values))
+        f, g = (X.terms[w].values if w in X.terms else zeros for X in (F, G))
+        out = _worse(out, _max_abs(f - g))
     return out
 
 
@@ -277,10 +301,13 @@ def random_algebra_element(rng, depth, words=3, horizon=None, complex_values=Tru
 
 
 def axioms_report_scalar(n: int) -> dict:
-    """Exhaustively verify the groupoid axioms at horizon n.
+    """Exhaustively verify the groupoid axioms at horizon n, one instance at a
+    time, on transitions (x, w) of Python ints.
 
-    Checks, for every prefix of depth n and all words u, v, w with horizon
-    <= n:
+    The groupoid law is written out here, not read from the package: (x, w)
+    ends at x and starts at x ^ w, (x, u) composes with (y, v) iff y = x ^ u,
+    to (x, u ^ v), and (x, w)^-1 = (x ^ w, w).  Checks, for every prefix of
+    depth n and all words u, v, w with horizon <= n:
 
     * composability bookkeeping: source/target of a composition;
     * associativity of composition on composable triples;
@@ -293,8 +320,7 @@ def axioms_report_scalar(n: int) -> dict:
     seconds.
     """
     t0 = perf_counter()
-    words = enumerate_gamma(n)
-    prefixes = enumerate_prefixes(n)
+    masks = range(1 << n)  # the words, and the depth-n prefixes
     checks = 0
     violations = 0
 
@@ -304,40 +330,48 @@ def axioms_report_scalar(n: int) -> dict:
         if not cond:
             violations += 1
 
+    def source(a):
+        return a[0] ^ a[1]
+
+    def compose(a, b):
+        """a after b, or None where b does not end where a starts."""
+        return (a[0], a[1] ^ b[1]) if source(a) == b[0] else None
+
+    def inverse(a):
+        return source(a), a[1]
+
     # Abelian group law on the flip words.
-    for u in words:
-        ok((u ^ u) == EMPTY_WORD)
-        ok((u ^ EMPTY_WORD) == u)
-        for v in words:
+    for u in masks:
+        ok((u ^ u) == 0)
+        ok((u ^ 0) == u)
+        for v in masks:
             ok((u ^ v) == (v ^ u))
 
-    for x in prefixes:
-        for u in words:
-            a = GroupoidElement(x, u)
-            ok(a.target == x)
-            ok(a.source == (x ^ u))
+    for x in masks:
+        for u in masks:
+            a = (x, u)
+            ok(a[0] == x)
+            ok(source(a) == (x ^ u))
             ainv = inverse(a)
             ok(inverse(ainv) == a)
-            ok(compose(a, ainv) == identity(x))
-            ok(compose(ainv, a) == identity(a.source))
-            ok(compose(identity(x), a) == a)
-            ok(compose(a, identity(a.source)) == a)
-            for v in words:
-                b = GroupoidElement(x ^ u, v)
+            ok(compose(a, ainv) == (x, 0))
+            ok(compose(ainv, a) == (source(a), 0))
+            ok(compose((x, 0), a) == a)
+            ok(compose(a, (source(a), 0)) == a)
+            for v in masks:
+                b = (x ^ u, v)
                 ab = compose(a, b)
-                ok(ab.target == a.target and ab.source == b.source)
-                ok(ab.flips == (u ^ v))
+                ok(ab is not None and ab[0] == a[0] and source(ab) == source(b))
+                ok(ab is not None and ab[1] == (u ^ v))
                 # Every pair (a, b') with b' based at the wrong point must
                 # be rejected.
                 if (x ^ u) != x:
-                    try:
-                        compose(a, GroupoidElement(x, v))
-                        ok(False)
-                    except NotComposable:
-                        ok(True)
-                for w in words:
-                    c = GroupoidElement(x ^ u ^ v, w)
-                    ok(compose(ab, c) == compose(a, compose(b, c)))
+                    ok(compose(a, (x, v)) is None)
+                for w in masks:
+                    c = (x ^ u ^ v, w)
+                    bc = compose(b, c)
+                    abc = None if None in (ab, bc) else compose(ab, c)
+                    ok(abc is not None and abc == compose(a, bc))
 
     return {
         "horizon": n,

@@ -19,11 +19,10 @@ from flipchain import (
     Cochain,
     CylinderFunction,
     DegenerateSpectrum,
+    DfsTable,
     FlipWord,
-    GroupoidElement,
     IsingBoltzmann,
     NonCocyclePerturbation,
-    Prefix,
     attained_spectrum,
     axioms_report,
     canonical_weight,
@@ -38,9 +37,6 @@ from flipchain import (
     heisenberg_equivalence_check,
     integrate,
     involution,
-    ising_dfs_coefficients,
-    ising_dfs_table,
-    ising_energy_brute,
     l2_norm,
     max_abs_diff,
     modular_spectrum_points,
@@ -229,21 +225,12 @@ def test_criterion_08_additive_chain_construction():
         assert rep["max_violation"] < 1e-12
     for i in range(20):
         rng = rng_for(106, i)
-        H = Cochain.from_cylinder(
-            CylinderFunction(5, rng.standard_normal(32)), 3
-        )
+        H = Cochain(0, 3, 5, rng.standard_normal(32))
         assert cochain_delta(coboundary(H)).max_abs() < 1e-12
     # integer cochains vanish identically
     rng = rng_for(107, 0)
-    Hz = Cochain.from_cylinder(
-        CylinderFunction(5, rng.integers(-9, 10, size=32).astype(np.int64)), 3
-    )
+    Hz = Cochain(0, 3, 5, rng.integers(-9, 10, size=32).astype(np.int64))
     assert cochain_delta(coboundary(Hz)).max_abs() == 0.0
-
-
-def energy(spec, g):
-    """The transition energy S(g) = -log delta(g), read from the measure's table."""
-    return spec.energy_table(g.flips, g.point.depth)[g.point.bits]
 
 
 def test_criterion_09_chain_energy_tables():
@@ -251,31 +238,29 @@ def test_criterion_09_chain_energy_tables():
     exactly zero in integer arithmetic (float twin under 1e-13), and the
     interior/boundary flip energies match the brute-force route up to
     depth 8."""
-    rep = dfs_check(ising_dfs_coefficients(4, 6))
+    coeffs = oracles.ising_dfs_coefficients(4, 6)
+    rep = dfs_check(coeffs)
     assert rep["exact_zero"] is True
     assert rep["max_violation"] == 0.0
-    rep_f = dfs_check(ising_dfs_table(0.8, 4, 6))
+    rep_f = dfs_check(DfsTable.of_rows(0.8 * coeffs.values))
     assert rep_f["max_violation"] < 1e-13
 
     J = 1.0
+    spec = IsingBoltzmann(J)
     for D in range(2, 9):
-        zeros = Prefix(D, 0)
-        assert energy(IsingBoltzmann(J), GroupoidElement(zeros, e(1))) == 2 * J
+        # S(x, w) at the all-zeros prefix x = 0
+        assert spec.energy_table(e(1), D)[0] == 2 * J
         for j in range(2, D):
-            g = GroupoidElement(zeros, e(j))
-            assert energy(IsingBoltzmann(J), g) == 4 * J
-            assert ising_energy_brute(J, g) == pytest.approx(4 * J, abs=1e-12)
-        assert ising_energy_brute(J, GroupoidElement(zeros, e(1))) == pytest.approx(
-            2 * J, abs=1e-12
-        )
+            assert spec.energy_table(e(j), D)[0] == 4 * J
+            assert oracles.ising_energy(J, 0, e(j).mask, D) == pytest.approx(4 * J, abs=1e-12)
+        assert oracles.ising_energy(J, 0, e(1).mask, D) == pytest.approx(2 * J, abs=1e-12)
         # random prefixes and words against the brute oracle
         for i in range(50):
             rng = rng_for(108, 100 * D + i)
-            bits = int(rng.integers(0, 1 << D))
-            mask = int(rng.integers(0, 1 << (D - 1)))
-            g = GroupoidElement(Prefix(D, bits), FlipWord(mask))
-            assert energy(IsingBoltzmann(J), g) == pytest.approx(
-                ising_energy_brute(J, g), abs=1e-12
+            x = int(rng.integers(0, 1 << D))
+            w = int(rng.integers(0, 1 << (D - 1)))
+            assert spec.energy_table(FlipWord(w), D)[x] == pytest.approx(
+                oracles.ising_energy(J, x, w, D), abs=1e-12
             )
 
 

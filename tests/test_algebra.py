@@ -45,7 +45,7 @@ def witness_element():
 
 def test_constructor_drops_zero_tables():
     F = AlgebraElement(
-        {e(1): CylinderFunction.constant(1.0, 1), e(2): CylinderFunction.zero(2)}
+        {e(1): CylinderFunction.constant(1.0, 1), e(2): CylinderFunction(2, np.zeros(4))}
     )
     assert F.support == [e(1)]
     assert F.depth == 2  # common depth of the inputs, kept after dropping
@@ -55,9 +55,9 @@ def test_constructor_drops_zero_tables():
 def test_depth_lifting_and_term_access():
     F = AlgebraElement({e(2): CylinderFunction(1, np.array([1.0, 2.0]))})
     assert F.depth == 2  # word horizon forces the lift
-    assert list(F.term(e(2)).values) == [1.0, 2.0, 1.0, 2.0]
-    assert list(F.term(e(1)).values) == [0.0] * 4
-    assert F.term(e(2)).values[0b01] == 2.0
+    assert list(F.terms[e(2)].values) == [1.0, 2.0, 1.0, 2.0]
+    assert e(1) not in F.terms
+    assert F.terms[e(2)].values[0b01] == 2.0
 
 
 def test_unit_is_neutral():
@@ -87,7 +87,7 @@ def test_convolution_hand_example():
     G = AlgebraElement({e(1): CylinderFunction(1, np.array([5.0, 7.0]))})
     P = convolve(F, G)
     assert P.support == [EMPTY_WORD]
-    assert list(P.term(EMPTY_WORD).values) == [2.0 * 7.0, 3.0 * 5.0]
+    assert list(P.terms[EMPTY_WORD].values) == [2.0 * 7.0, 3.0 * 5.0]
 
 
 def test_lift_refuses_depth_beyond_cap(monkeypatch):
@@ -97,7 +97,7 @@ def test_lift_refuses_depth_beyond_cap(monkeypatch):
     with pytest.raises(HorizonOverflow):
         F.lift(DEPTH_CAP + 1)
     with pytest.raises(HorizonOverflow):
-        F.term(EMPTY_WORD).lift(DEPTH_CAP + 1)
+        F.terms[EMPTY_WORD].lift(DEPTH_CAP + 1)
 
 
 def test_linear_structure():
@@ -155,7 +155,7 @@ def test_modular_power_exact_integer():
     spec = Bernoulli(Fraction(3, 10))
     W = AlgebraElement({e(1): CylinderFunction.constant(Fraction(1), 1)})
     scaled = modular_operator_pow(W, 2, spec)
-    vals = scaled.term(e(1)).values
+    vals = scaled.terms[e(1)].values
     assert vals[0] == Fraction(9, 49)
     assert vals[1] == Fraction(49, 9)
 
@@ -207,7 +207,7 @@ def test_flip_unitaries(spec):
 def test_flip_unitary_symmetric_point():
     # at lambda = 1/2 the weight is flip-invariant and V is the bare flip
     V = pukanszky_V(e(2), Bernoulli(0.5))
-    assert list(V.term(e(2)).values) == [1.0, 1.0, 1.0, 1.0]
+    assert list(V.terms[e(2)].values) == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_multiplication_operators():
@@ -309,7 +309,7 @@ def batch_trials(case, count=6):
     Fs = [draw(rng_for(31, i)) for i in range(count)]
     Gs = [draw(rng_for(32, i)) for i in range(count)]
     Fs[2] = AlgebraElement({})  # trials without rows, in the middle of the batch
-    Gs[4] = AlgebraElement({e(1): CylinderFunction.zero(1)})  # dropped: also empty
+    Gs[4] = AlgebraElement({e(1): CylinderFunction(1, np.zeros(2))})  # dropped: also empty
     return spec, Fs, Gs
 
 

@@ -71,7 +71,7 @@ def test_table_dtype_holds_every_row(mix):
 
 def test_table_guards():
     with pytest.raises(InvariantViolation):
-        DfsTable(1, {e(2): CylinderFunction.zero(2)})
+        DfsTable(1, {e(2): CylinderFunction(2, np.zeros(4))})
     with pytest.raises(DepthTooSmall):
         DfsTable(2, {}, 1)
     with pytest.raises(InvariantViolation):
@@ -221,7 +221,7 @@ def test_scale_and_add_stay_cocycles():
 def test_cochain_shapes():
     with pytest.raises(InvariantViolation):
         Cochain(1, 2, 3, np.zeros((3, 8)))
-    c = Cochain.from_cylinder(CylinderFunction.zero(3), 2)
+    c = Cochain(0, 2, 3, np.zeros(8))
     assert c.order == 0 and c.depth == 3
 
 
@@ -231,7 +231,7 @@ def test_dfs_cochain_roundtrip():
 
 
 def test_coboundary_of_parity():
-    H = Cochain.from_cylinder(CylinderFunction.psi(1, 2), 1)
+    H = Cochain(0, 1, 2, CylinderFunction.psi(1, 2).values)
     dH = coboundary(H)
     # flipping site 1 negates the parity: H(x ^ e1) - H(x) = -2 psi_1(x)
     assert list(dH.values[1]) == [-2.0, 2.0, -2.0, 2.0]
@@ -281,9 +281,7 @@ def test_delta_matches_product_loop_oracle(order, kind):
 
 def test_differential_squares_to_zero():
     rng = rng_for(44, 0)
-    H = Cochain.from_cylinder(
-        CylinderFunction(4, rng.integers(-9, 10, size=16).astype(np.int64)), 2
-    )
+    H = Cochain(0, 2, 4, rng.integers(-9, 10, size=16).astype(np.int64))
     dd = cochain_delta(cochain_delta(H))
     assert dd.order == 2
     assert dd.max_abs() == 0.0

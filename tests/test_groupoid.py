@@ -1,23 +1,15 @@
 import oracles
 import pytest
+import test_mutants
 
 from flipchain import (
     EMPTY_WORD,
-    DepthMismatch,
-    DepthTooSmall,
     FlipWord,
-    GroupoidElement,
     HorizonOverflow,
-    NotComposable,
-    Prefix,
     axioms_report,
     check_depth,
-    compose,
     e,
     enumerate_gamma,
-    enumerate_prefixes,
-    identity,
-    inverse,
 )
 
 
@@ -50,65 +42,9 @@ def test_flipword_rejects_bad_sites():
         FlipWord(-1)
 
 
-def test_prefix_roundtrip():
-    p = Prefix(3, 0b101)
-    assert p.as_tuple() == (1, 0, 1)
-    assert p.bit(1) == 1 and p.bit(2) == 0 and p.bit(3) == 1
-
-
-def test_prefix_guards():
-    with pytest.raises(ValueError):
-        Prefix(2, 4)  # bits outside range
-    with pytest.raises(DepthTooSmall):
-        Prefix(2, 0).bit(3)
-    with pytest.raises(DepthTooSmall):
-        Prefix(1, 0) ^ e(2)
-
-
-def test_prefix_xor_flips_listed_sites():
-    p = Prefix(3, 0b010)
-    assert (p ^ FlipWord.from_sites([1, 2])).as_tuple() == (1, 0, 0)
-    assert (p ^ EMPTY_WORD) == p
-
-
-def test_element_source_target():
-    x = Prefix(3, 0b011)
-    g = GroupoidElement(x, e(2))
-    assert g.target == x
-    assert g.source == Prefix(3, 0b001)
-    assert inverse(g).target == g.source
-    assert inverse(g).source == g.target
-    assert inverse(inverse(g)) == g
-
-
-def test_element_depth_guard():
-    with pytest.raises(DepthTooSmall):
-        GroupoidElement(Prefix(1, 0), e(2))
-
-
-def test_compose_rules():
-    x = Prefix(3, 0b011)
-    a = GroupoidElement(x, e(1))
-    b = GroupoidElement(x ^ e(1), e(3))
-    ab = compose(a, b)
-    assert ab.flips == FlipWord.from_sites([1, 3])
-    assert ab.target == a.target and ab.source == b.source
-    # units
-    assert compose(identity(x), a) == a
-    assert compose(a, identity(a.source)) == a
-    assert compose(a, inverse(a)) == identity(x)
-    # mismatched base point
-    with pytest.raises(NotComposable):
-        compose(a, GroupoidElement(x, e(3)))
-    with pytest.raises(DepthMismatch):
-        compose(a, GroupoidElement(Prefix(4, 0), e(1)))
-
-
 def test_enumeration_order():
     words = enumerate_gamma(2)
     assert [w.mask for w in words] == [0, 1, 2, 3]
-    prefixes = enumerate_prefixes(2)
-    assert [p.bits for p in prefixes] == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         enumerate_gamma(-1)
 
@@ -118,7 +54,7 @@ def test_depth_cap():
     with pytest.raises(HorizonOverflow):
         check_depth(21)
     with pytest.raises(HorizonOverflow):
-        enumerate_prefixes(25)
+        enumerate_gamma(25)
 
 
 def test_axioms_exhaustive_small():
@@ -139,6 +75,20 @@ def test_axioms_guards():
 def test_axiom_sweep_matches_the_scalar_oracle(n):
     got, want = axioms_report(n), oracles.axioms_report_scalar(n)
     assert (got["checks"], got["violations"]) == (want["checks"], want["violations"])
+
+
+# the mutants of the mask law, each of which the axioms run must catch
+LAW_MUTANTS = [name for name, (_, _, run) in test_mutants.MUTANTS.items() if run == "axioms"]
+
+
+@pytest.mark.parametrize("name", LAW_MUTANTS)
+def test_the_scalar_oracle_does_not_share_the_mask_law(monkeypatch, name):
+    """A broken mask law moves the package's sweep and leaves the oracle at 0."""
+    target, replacement, _ = test_mutants.MUTANTS[name]
+    assert test_mutants._patch(monkeypatch, target, replacement) >= 1
+    got, want = axioms_report(3), oracles.axioms_report_scalar(3)
+    assert (got["checks"], got["violations"]) != (want["checks"], want["violations"])
+    assert want["violations"] == 0
 
 
 @pytest.mark.parametrize("n", range(7))

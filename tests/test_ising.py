@@ -10,19 +10,15 @@ from flipchain import (
     CylinderFunction,
     DegenerateSpectrum,
     DepthTooSmall,
+    DfsTable,
     FlipWord,
-    GroupoidElement,
     InvalidSpec,
     IsingBoltzmann,
     NonCocyclePerturbation,
-    Prefix,
     attained_spectrum,
     dfs_check,
     e,
     heisenberg_equivalence_check,
-    ising_dfs_coefficients,
-    ising_dfs_table,
-    ising_energy_brute,
     ising_energy_table,
     is_exact,
     l2_norm,
@@ -33,20 +29,21 @@ from flipchain import (
     rng_for,
     tt_evolve,
 )
-from oracles import bernoulli_delta
+from oracles import bernoulli_delta, ising_dfs_coefficients, ising_energy
 
 
-def energy(spec, g):
-    """The transition energy S(g) = -log delta(g), read from the measure's table."""
-    return spec.energy_table(g.flips, g.point.depth)[g.point.bits]
+def energy(spec, x, w, depth):
+    """The transition energy S(x, w) = -log delta(x, w), read from the
+    measure's depth-`depth` table."""
+    return spec.energy_table(FlipWord(w), depth)[x]
 
 
 def test_transition_energy_values():
-    x = Prefix(4, 0)
+    x = 0  # the all-zeros prefix at depth 4
     E = IsingBoltzmann(0.7)
-    assert energy(E, GroupoidElement(x, e(2))) == pytest.approx(4 * 0.7)
-    assert energy(E, GroupoidElement(x, e(1))) == pytest.approx(2 * 0.7)
-    assert energy(IsingBoltzmann(2.0), GroupoidElement(x, e(3))) == 8.0
+    assert energy(E, x, e(2).mask, 4) == pytest.approx(4 * 0.7)
+    assert energy(E, x, e(1).mask, 4) == pytest.approx(2 * 0.7)
+    assert energy(IsingBoltzmann(2.0), x, e(3).mask, 4) == 8.0
     with pytest.raises(InvalidSpec):
         IsingBoltzmann(math.nan)
 
@@ -64,29 +61,27 @@ def test_transition_energy_tables():
 def test_energy_brute_force_agreement():
     # closed form vs the H_D difference route, exhaustive at small depth
     for D in range(2, 7):
-        for mask in range(1 << (D - 1)):
-            w = FlipWord(mask)
-            for bits in range(1 << D):
-                g = GroupoidElement(Prefix(D, bits), w)
-                closed = energy(IsingBoltzmann(1.0), g)
-                assert ising_energy_brute(1.0, g) == pytest.approx(closed, abs=1e-12)
+        for w in range(1 << (D - 1)):
+            for x in range(1 << D):
+                closed = energy(IsingBoltzmann(1.0), x, w, D)
+                assert ising_energy(1.0, x, w, D) == pytest.approx(closed, abs=1e-12)
 
 
 def test_energy_matches_measure_delta():
     spec = IsingBoltzmann(0.8)
     E = IsingBoltzmann(0.8)
-    for bits in range(16):
-        g = GroupoidElement(Prefix(4, bits), FlipWord.from_sites([1, 3]))
-        delta = spec.delta_table(g.flips, 4)[bits]
-        assert delta == pytest.approx(math.exp(-energy(E, g)), rel=1e-14)
+    w = FlipWord.from_sites([1, 3])
+    for x in range(16):
+        delta = spec.delta_table(w, 4)[x]
+        assert delta == pytest.approx(math.exp(-energy(E, x, w.mask, 4)), rel=1e-14)
 
 
 def test_modular_hamiltonian_lattice():
     ham = Bernoulli(0.3)
     assert ham.step == pytest.approx(math.log(7 / 3), rel=1e-15)
-    g = GroupoidElement(Prefix(2, 0b11), FlipWord.from_sites([1, 2]))
-    assert ham.lattice_table(g.flips, g.point.depth)[g.point.bits] == 2
-    assert energy(ham, g) == pytest.approx(-2 * ham.step)
+    x, w = 0b11, FlipWord.from_sites([1, 2])
+    assert ham.lattice_table(w, 2)[x] == 2
+    assert energy(ham, x, w.mask, 2) == pytest.approx(-2 * ham.step)
     table = ham.lattice_table(FlipWord.from_sites([1, 2]), 2)
     assert list(table) == [-2, 0, 0, 2]
     with pytest.raises(DepthTooSmall):
@@ -97,9 +92,10 @@ def test_modular_hamiltonian_lattice():
 
 def test_modular_hamiltonian_is_log_delta():
     ham = Bernoulli(0.3)
-    for bits in range(8):
-        g = GroupoidElement(Prefix(3, bits), FlipWord.from_sites([1, 3]))
-        assert bernoulli_delta(0.3, g) == pytest.approx(math.exp(-energy(ham, g)), rel=1e-13)
+    w = FlipWord.from_sites([1, 3]).mask
+    for x in range(8):
+        assert bernoulli_delta(0.3, x, w) == pytest.approx(math.exp(-energy(ham, x, w, 3)),
+                                                           rel=1e-13)
 
 
 def test_ising_dfs_tables_exact():
@@ -108,7 +104,7 @@ def test_ising_dfs_tables_exact():
     assert rep["exact_zero"] is True and rep["max_violation"] == 0.0
     with pytest.raises(DepthTooSmall):
         ising_dfs_coefficients(3, 3)
-    T = ising_dfs_table(0.5, 2, 4)
+    T = DfsTable.of_rows(0.5 * ising_dfs_coefficients(2, 4).values)
     rep_f = dfs_check(T)
     assert rep_f["passed"] and rep_f["max_violation"] < 1e-13
     assert np.array_equal(T.entries[e(1)].values, 0.5 * S.entries[e(1)].values[:16])

@@ -14,15 +14,12 @@ from flipchain import (
     CylinderFunction,
     DepthTooSmall,
     FlipWord,
-    GroupoidElement,
     HorizonOverflow,
     InvalidSpec,
     IsingBoltzmann,
-    Prefix,
     e,
     integrate,
     ising_bond_coefficients,
-    ising_energy_brute,
     ising_energy_table,
     parse_lambda,
     partition_function,
@@ -38,6 +35,7 @@ from oracles import (
     bernoulli_weight,
     bond_sums,
     ising_delta_inv_table,
+    ising_energy,
     lattice_table,
 )
 
@@ -87,9 +85,9 @@ def test_bernoulli_weights_normalized():
     assert sum(table.tolist()) == 1
     assert spec.exact
     # bit 0 carries the lambda weight
-    assert bernoulli_weight(LAM, Prefix(1, 0)) == spec.weight_table(1)[0] == LAM
-    assert bernoulli_weight(LAM, Prefix(1, 1)) == spec.weight_table(1)[1] == 1 - LAM
-    assert bernoulli_weight(LAM, Prefix(2, 0b01)) == (1 - LAM) * LAM
+    assert bernoulli_weight(LAM, 0, 1) == spec.weight_table(1)[0] == LAM
+    assert bernoulli_weight(LAM, 1, 1) == spec.weight_table(1)[1] == 1 - LAM
+    assert bernoulli_weight(LAM, 0b01, 2) == (1 - LAM) * LAM
     # depth-4 entry: bit 0 set, bits 1-3 clear
     assert table[0b01] == (1 - LAM) * LAM**3
 
@@ -106,8 +104,7 @@ def test_bernoulli_guards():
 def test_bernoulli_delta_single_flip():
     spec = Bernoulli(LAM)
     # flipping site 1 when the target reads 1 weighs (1-lam)/lam
-    g = GroupoidElement(Prefix(1, 1), e(1))
-    assert bernoulli_delta(LAM, g) == spec.delta_table(e(1), 1)[1] == Fraction(7, 3)
+    assert bernoulli_delta(LAM, 1, e(1).mask) == spec.delta_table(e(1), 1)[1] == Fraction(7, 3)
     assert spec.delta_table(e(1), 1)[0] == Fraction(3, 7)
     assert Bernoulli(0.3).delta_table(e(1), 1)[1] == pytest.approx(7 / 3, rel=1e-15)
 
@@ -118,8 +115,7 @@ def test_bernoulli_delta_tables_match_pointwise():
     table = spec.delta_table(w, 3)
     inv = spec.delta_inv_table(w, 3)
     for bits in range(8):
-        g = GroupoidElement(Prefix(3, bits), w)
-        assert table[bits] == bernoulli_delta(LAM, g)
+        assert table[bits] == bernoulli_delta(LAM, bits, w.mask)
         assert table[bits] * inv[bits] == 1
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)
@@ -186,9 +182,8 @@ def test_ising_delta_consistent():
     w = FlipWord.from_sites([2])
     table = spec.delta_table(w, 4)
     for bits in range(16):
-        g = GroupoidElement(Prefix(4, bits), w)
         assert table[bits] == pytest.approx(
-            math.exp(-ising_energy_brute(0.7, g)), rel=1e-15)
+            math.exp(-ising_energy(0.7, bits, w.mask, 4)), rel=1e-15)
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)  # needs horizon + 1
 
@@ -338,7 +333,7 @@ def test_bernoulli_tables_match_pointwise_oracles(lam):
     depth = 4
     weights = spec.weight_table(depth)
     for bits in range(1 << depth):
-        want = bernoulli_weight(lam, Prefix(depth, bits))
+        want = bernoulli_weight(lam, bits, depth)
         if spec.exact:
             assert weights[bits] == want
         else:
@@ -348,7 +343,7 @@ def test_bernoulli_tables_match_pointwise_oracles(lam):
         delta = spec.delta_table(w, depth)
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
-            want = bernoulli_delta(lam, GroupoidElement(Prefix(depth, bits), w))
+            want = bernoulli_delta(lam, bits, mask)
             if spec.exact:
                 assert delta[bits] == want
                 assert inv[bits] * want == 1
@@ -365,8 +360,7 @@ def test_ising_tables_match_pointwise_oracles():
     weights = spec.weight_table(depth)
     bonds = ising_bond_coefficients(depth)
     for bits in range(1 << depth):
-        p = Prefix(depth, bits)
-        spins = [1 - 2 * p.bit(k) for k in range(1, depth + 1)]
+        spins = [1 - 2 * (bits >> (k - 1) & 1) for k in range(1, depth + 1)]
         bond_sum = sum(a * b for a, b in zip(spins, spins[1:]))
         assert bonds[bits] == bond_sum
         assert weights[bits] == pytest.approx(math.exp(-J * bond_sum) / Z, rel=1e-13)
@@ -375,9 +369,8 @@ def test_ising_tables_match_pointwise_oracles():
         delta = spec.delta_table(w, depth)
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
-            g = GroupoidElement(Prefix(depth, bits), w)
             assert delta[bits] == pytest.approx(
-                math.exp(-ising_energy_brute(J, g)), rel=1e-14
+                math.exp(-ising_energy(J, bits, mask, depth)), rel=1e-14
             )
             assert inv[bits] * delta[bits] == pytest.approx(1.0, rel=1e-14)
 
@@ -498,7 +491,7 @@ def test_exact_integer_form_matches_fraction_oracles(lam):
     for depth in range(11):
         size = 1 << depth
         nums, den = measures._numerators(spec, depth)
-        want = [bernoulli_weight(lam, Prefix(depth, x)) for x in range(size)]
+        want = [bernoulli_weight(lam, x, depth) for x in range(size)]
         _assert_exact_table(spec.weight_table(depth), nums, den, want)
         if depth <= 6:
             masks = range(size)
@@ -507,8 +500,7 @@ def test_exact_integer_form_matches_fraction_oracles(lam):
         for mask in masks:
             w = FlipWord(mask)
             nums, den = measures._numerators(spec, depth, w)
-            want = [bernoulli_delta(lam, GroupoidElement(Prefix(depth, x), w))
-                    for x in range(size)]
+            want = [bernoulli_delta(lam, x, mask) for x in range(size)]
             _assert_exact_table(spec.delta_table(w, depth), nums, den, want)
             # the checks read delta**-1 as the numerators across the flip
             _assert_exact_table(spec.delta_inv_table(w, depth), nums[np.arange(size) ^ mask],

@@ -22,7 +22,7 @@ import pytest
 
 from flipchain import algebra, groupoid, ising, measures
 from flipchain.cli import main
-from flipchain.measures import Bernoulli
+from flipchain.measures import Bernoulli, IsingBoltzmann
 
 # run name -> (argv, exit code of the unmutated package, the invariant that
 # the failure record of a caught mutant names; None where a mutant makes the
@@ -42,6 +42,7 @@ RUNS = {
 }
 
 _pow, _tt_evolve, _energy = algebra.modular_operator_pow, ising.tt_evolve, Bernoulli.energy_table
+_ising_energy = IsingBoltzmann.energy_table
 _integrate_rows = measures._integrate_rows
 
 
@@ -112,6 +113,15 @@ SURVIVORS = {
     "every integral against uniform weights":
         (_integrate_rows, lambda spec, depth, rows: _integrate_rows(Bernoulli(0.5), depth, rows),
          "glimm", "item 6: the bridge integrates one side without weight_table"),
+    "Ising energy with its sign flipped":
+        ((IsingBoltzmann, "energy_table"), lambda self, w, d: -_ising_energy(self, w, d),
+         "ising-dynamics", "item 3: the KMS condition drives the Ising flow"),
+    "Ising energy scaled by 2":
+        ((IsingBoltzmann, "energy_table"), lambda self, w, d: 2 * _ising_energy(self, w, d),
+         "ising-dynamics", "item 3: the flow at half its period is the grading"),
+    "Bernoulli energy scaled by 2":
+        ((Bernoulli, "energy_table"), lambda self, w, d: 2 * _energy(self, w, d), "trace",
+         "item 3: the flow at half its period is the grading"),
 }
 
 CASES = [pytest.param(target, replacement, run, RUNS[run][2], id=name)

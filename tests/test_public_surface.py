@@ -5,9 +5,10 @@ independent oracle, and the oracles live in tests/.  A public module-level
 function or class, or a public method or property, whose name appears
 nowhere in src/flipchain except in its own definition and in __init__.py is
 dead surface.  It fails here unless KEEP names the caller outside src/ that
-needs it.  A private module-level function or constant, or a private method
-of a class, that no live code in the package reads is dead code, and fails
-with no KEEP exception.
+needs it, by a .py path that exists and uses the name.  A private
+module-level function or constant, or a private method of a class, that no
+live code in the package reads is dead code, and fails with no KEEP
+exception.
 
 Names are matched, not resolved: a method counts as used when an attribute
 of that name is read anywhere in the package, so a dead method that shares
@@ -15,25 +16,17 @@ its name with a live attribute is not caught.
 """
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "flipchain"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "flipchain"
 
 # name -> the caller outside src/ that keeps it
 KEEP = {
     "dfs_to_cochain": "perfbench/onepass.py",
     "is_exact": "perfbench/onepass.py; perfbench/tracer.py patches it",
-    "ising_energy_brute": "tests/test_acceptance.py, the energy oracle",
-    "ising_dfs_table": "tests/test_acceptance.py",
-    "Cochain.from_cylinder": "tests/test_acceptance.py",
     "inner_product": "demos/convolution_algebra.py; tests/test_algebra.py",
-    "AlgebraElement.term": "demos/matrix_bridge.py; tests/test_algebra.py",
-    # the element views of the groupoid law; the package sweeps the mask law
-    "compose": "tests/oracles.py, the scalar axiom sweep; demos/walk_the_groupoid.py",
-    "inverse": "tests/oracles.py; demos/walk_the_groupoid.py; demos/measures_and_modular.py",
-    "identity": "tests/oracles.py; demos/walk_the_groupoid.py",
-    "GroupoidElement.source": "tests/oracles.py; demos/walk_the_groupoid.py",
-    "GroupoidElement.target": "tests/oracles.py; demos/walk_the_groupoid.py",
 }
 
 
@@ -146,3 +139,15 @@ def test_keep_names_only_what_would_fail():
     assert KEEP.keys() <= defined, sorted(KEEP.keys() - defined)
     stale = sorted(KEEP.keys() - _unused())
     assert not stale, f"KEEP entries the package now uses itself: {stale}"
+
+
+def test_keep_cites_callers_that_use_the_name():
+    for qual, reason in KEEP.items():
+        name = qual.rsplit(".", 1)[-1]
+        paths = re.findall(r"[\w/.-]+\.py", reason)
+        assert paths, f"KEEP[{qual!r}] cites no caller"
+        for path in paths:
+            caller = ROOT / path
+            assert caller.is_file(), f"KEEP[{qual!r}] cites a missing file {path}"
+            assert re.search(rf"\b{name}\b", caller.read_text()), \
+                f"KEEP[{qual!r}] cites {path}, which does not use {name}"

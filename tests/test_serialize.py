@@ -9,10 +9,10 @@ from flipchain import (
     dfs_check,
     dfs_from_json,
     dfs_to_json,
-    ising_dfs_coefficients,
     rng_for,
 )
 from flipchain.cli import render_csv, render_json
+from oracles import ising_dfs_coefficients
 
 
 def roundtrip(doc):
