@@ -14,7 +14,7 @@ from flipchain import (
     canonical_weight,
     convolve,
     glimm_map,
-    gns_deviation,
+    gns_deviations,
     max_abs_diff,
     pauli_operator,
     powers_state,
@@ -50,6 +50,6 @@ rhs = convolve(glimm_map(u, mu), glimm_map(v, mu))
 print("multiplicativity deviation:", max_abs_diff(lhs, rhs))
 
 # the randomized cross-check the acceptance gate and `flipchain glimm` run
-# at scale, one trial per generator
-worst = max(gns_deviation(rng_for(7, i), n, mu) for i in range(50))
+# at scale, one trial per generator, the algebra side in batches
+worst = max(gns_deviations([rng_for(7, i) for i in range(50)], n, mu))
 print("random words, max deviation:", worst)

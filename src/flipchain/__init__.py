@@ -63,7 +63,7 @@ from .ising import (
 from .matrices import (
     PauliWord,
     glimm_map,
-    gns_deviation,
+    gns_deviations,
     pauli_operator,
     powers_state,
     random_pauli_word,

@@ -47,7 +47,7 @@ from .ising import (
     heisenberg_equivalence_check,
     modular_spectrum_points,
 )
-from .matrices import gns_deviation
+from .matrices import gns_deviations
 from .measures import (
     Bernoulli,
     CylinderFunction,
@@ -238,34 +238,37 @@ def cmd_haar(cfg: RunConfig):
 
 
 # Randomized subcommands check their trials in chunks of at most this many
-# table entries (trials times 2**depth, at least one trial): algebra and trace
-# as one batch per drawn element, glimm and ising-dynamics one trial at a
+# table entries (trials times 2**depth, at least one trial): algebra, trace and
+# glimm's algebra side as one batch per drawn element or term factor (glimm's
+# tables reach depth n, which sizes its chunks), ising-dynamics one trial at a
 # time.  Trial i still draws from rng_for(seed, i), and the reports do not
-# depend on the chunk size: it trades the fixed Python cost of each kernel
-# call (one delta table per distinct word, among others) against the size of
-# the working set.  A sweep of algebra-random on a 2-core VM (BENCH_chunk.json)
-# put pass_s at 2.08, 1.80, 1.77 and 1.54 reference s for 2**9 .. 2**12, and
-# peak RSS at +1.8%, +6.0% and +16.7% over 2**9.  2**12 is past +10% of RSS,
-# and ten alternating pairs did not tell 2**11 from 2**10 in pass_s (8 wins of
-# 10, medians 0.034 s apart against an IQR of 0.049 s), so the smaller
-# working set is kept.
+# depend on the chunk size: it trades the fixed Python cost of each kernel call
+# (one delta table per distinct word, among others) against the size of the
+# working set.  A sweep of algebra-random on a 2-core VM (BENCH_chunk.json) put
+# pass_s at 2.08, 1.80, 1.77 and 1.54 reference s for 2**9 .. 2**12, and peak
+# RSS at +1.8%, +6.0% and +16.7% over 2**9.  2**12 is past +10% of RSS, and ten
+# alternating pairs did not tell 2**11 from 2**10 in pass_s (8 wins of 10,
+# medians 0.034 s apart against an IQR of 0.049 s), so the smaller working set
+# is kept.
 CHUNK_ENTRIES = 1 << 10
 
 
-def _chunks(cfg: RunConfig, count: int):
-    size = max(1, CHUNK_ENTRIES >> cfg.depth)
+def _chunks(depth: int, count: int):
+    size = max(1, CHUNK_ENTRIES >> depth)
     for start in range(0, count, size):
         yield range(start, min(start + size, count))
 
 
-def _run_trials(cfg: RunConfig, check, count=None):
+def _run_trials(cfg: RunConfig, check, count=None, depth=None):
     """Worst deviation per check over trials 0..count-1, and its witness trial.
 
     check(trials) gives one {check: deviation} per trial of a chunk, keys in
-    report order; count defaults to cfg.trials.
+    report order; count defaults to cfg.trials, and the depth of the trials'
+    tables, which sizes the chunks, to cfg.depth.
     """
     return worst_by_check(
-        row for trials in _chunks(cfg, cfg.trials if count is None else count)
+        row for trials in _chunks(cfg.depth if depth is None else depth,
+                                  cfg.trials if count is None else count)
         for row in zip(trials, check(trials)))
 
 
@@ -342,9 +345,11 @@ def cmd_glimm(cfg: RunConfig):
     spec = cfg.spec()
 
     def check(trials):
-        return [{"state": gns_deviation(rng_for(cfg.seed, i), cfg.n, spec)} for i in trials]
+        rngs = [rng_for(cfg.seed, i) for i in trials]
+        return [{"state": dev} for dev in gns_deviations(rngs, cfg.n, spec)]
 
-    worst = _run_trials(cfg, check)[0]["state"]
+    # the images reach depth n at most, whatever --depth says
+    worst = _run_trials(cfg, check, depth=cfg.n)[0]["state"]
     report = {
         "n": cfg.n,
         "lambda": cfg.lam,

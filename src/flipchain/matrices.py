@@ -19,11 +19,17 @@ than as a Kronecker product: with x the letter-1 sites and z the letter-3
 sites (site k at bit n - k), entry (r, r ^ x) is (-1)**popcount((r ^ x) & z)
 and every other entry is zero.  The entries are exact, so products of words
 are the same floats in any summation order.
+
+Word images are memoised per measure, each one convolution from the image
+of its prefix.  `gns_deviations`, the randomized cross-check that `glimm`
+runs, evaluates the dense side trial by trial and the algebra side as
+batches of trials, each trial with the bits it has on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -109,25 +115,23 @@ def glimm_map(w: PauliWord, spec) -> AlgebraElement:
     """Image of a Pauli word in the convolution algebra.
 
     Letter 1 at site k maps to the weighted flip V_{e_k}, letter 3 to
-    multiplication by psi_k; the images are star-multiplied site-ascending.
-    Star-homomorphism on words holds because distinct-site images commute.
+    multiplication by psi_k; the images are star-multiplied site-ascending,
+    so a word's image is its image without the last letter times that
+    letter's, built once from the memoised prefix.  Star-homomorphism on
+    words holds because distinct-site images commute.
     """
     if not isinstance(spec, Bernoulli):
         raise InvalidSpec("the generator correspondence needs a Bernoulli measure")
     key = spec._key("glimm", w.letters)
-    if key in _IMAGES:
-        return _IMAGES[key]
-    out = unit()
-    for site, letter in w.letters:
-        if letter == 1:
-            factor = pukanszky_V(e(site), spec)
+    if key not in _IMAGES:
+        if not w.letters:
+            _IMAGES[key] = unit()
         else:
-            factor = pukanszky_L(
-                CylinderFunction.psi(site, site, exact=spec.exact)
-            )
-        out = convolve(out, factor)
-    _IMAGES[key] = out
-    return out
+            site, letter = w.letters[-1]
+            factor = (pukanszky_V(e(site), spec) if letter == 1 else
+                      pukanszky_L(CylinderFunction.psi(site, site, exact=spec.exact)))
+            _IMAGES[key] = convolve(glimm_map(PauliWord(w.letters[:-1]), spec), factor)
+    return _IMAGES[key]
 
 
 def random_pauli_word(rng: np.random.Generator, n: int) -> PauliWord:
@@ -140,28 +144,52 @@ def random_pauli_word(rng: np.random.Generator, n: int) -> PauliWord:
     return PauliWord(tuple(letters))
 
 
-def gns_deviation(rng: np.random.Generator, n: int, spec: Bernoulli) -> float:
-    """One randomized comparison of the two state evaluations.
+def gns_deviations(rngs, n: int, spec: Bernoulli) -> list:
+    """Randomized comparisons of the two state evaluations, one per generator.
 
-    Draws a complex combination of Pauli-word products (including
-    sigma2-style i * sigma1 sigma3 pairs at a random site), evaluates the
-    product state on the dense side and the cyclic-vector weight on the
-    algebra side, and returns their absolute deviation.
+    Each trial draws a complex combination of one to three Pauli-word
+    products (a word, or a word times a sigma2-style i * sigma1 sigma3 pair
+    at a random site), evaluates the product state on the dense side and
+    the cyclic-vector weight on the algebra side, and gives their absolute
+    deviation.  The dense side runs trial by trial.  The algebra side runs
+    one batch per term and factor position, over the trials whose images
+    reach the same depth: a trial's weight is integrated at that depth alone,
+    so each deviation has the bits of its trial run on its own.
     """
-    M = np.zeros((1 << n, 1 << n), dtype=complex)
-    F = AlgebraElement({})
-    for _ in range(int(rng.integers(1, 4))):
-        c = complex(rng.standard_normal(), rng.standard_normal())
-        words = [random_pauli_word(rng, n)]
-        if int(rng.integers(0, 2)):
-            k = int(rng.integers(1, n + 1))
-            c *= 1j
-            words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
-        term_m = np.eye(1 << n)
-        term_a = unit()
-        for word in words:
-            term_m = term_m @ pauli_operator(word, n)
-            term_a = convolve(term_a, glimm_map(word, spec))
-        M = M + c * term_m
-        F = F + c * term_a
-    return abs(complex(canonical_weight(F, spec)) - powers_state(M, spec.lam))
+    states, drawn = [], []
+    for rng in rngs:
+        M = np.zeros((1 << n, 1 << n), dtype=complex)
+        terms = []
+        for _ in range(int(rng.integers(1, 4))):
+            c = complex(rng.standard_normal(), rng.standard_normal())
+            words = [random_pauli_word(rng, n)]
+            if int(rng.integers(0, 2)):
+                k = int(rng.integers(1, n + 1))
+                c *= 1j
+                words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
+            # no identity in front: products of 0 and +-1 entries are exact
+            M = M + c * reduce(np.matmul, [pauli_operator(w, n) for w in words])
+            terms.append((c, [glimm_map(w, spec) for w in words]))
+        states.append(powers_state(M, spec.lam))
+        drawn.append(terms)
+    groups = {}
+    for i, terms in enumerate(drawn):
+        depth = max(image.depth for _, images in terms for image in images)
+        groups.setdefault(depth, []).append(i)
+    weights, one, empty = [None] * len(drawn), unit(), AlgebraElement({})
+    for group in groups.values():
+        F = AlgebraElement.batch([empty] * len(group))
+        for t in range(max(len(drawn[i]) for i in group)):
+            # a trial without a t-th term holds the empty element there; the
+            # unit times a first factor is that factor, bit for bit
+            column = [drawn[i][t] if t < len(drawn[i]) else (0j, [empty]) for i in group]
+            term = AlgebraElement.batch([images[0] for _, images in column])
+            for f in range(1, max(len(images) for _, images in column)):
+                term = convolve(term, AlgebraElement.batch(
+                    [images[f] if f < len(images) else one for _, images in column]))
+            scale = np.array([c for c, _ in column])[term.trial, None]
+            F = F + AlgebraElement.of_rows(term.depth, term.trials, scale * term.values,
+                                           term.trial, term.word)
+        for i, weight in zip(group, canonical_weight(F, spec)):
+            weights[i] = weight
+    return [abs(complex(weight) - state) for weight, state in zip(weights, states)]

@@ -10,10 +10,12 @@ flip), the Bernoulli lattice index and the Ising bond sums summed site by
 site (the package counts bits) and the product-state diagonal as a Kronecker
 product.  The convolution algebra's kernels get their one-trial,
 word-by-word definitions below, and random elements their word-by-word
-draw.  The groupoid axioms get a scalar sweep over int pairs that writes the
-groupoid law out itself (the package broadcasts its own mask law over
-arrays).  `ising_dfs_coefficients` is no oracle: it stacks the package's
-Ising tables into the exact DFS table that the cocycle checks read.
+draw.  `glimm`'s randomized cross-check gets its one-trial form, which runs
+those word-by-word kernels on the package's Glimm images.  The groupoid
+axioms get a scalar sweep over int pairs that writes the groupoid law out
+itself (the package broadcasts its own mask law over arrays).
+`ising_dfs_coefficients` is no oracle: it stacks the package's Ising tables
+into the exact DFS table that the cocycle checks read.
 """
 
 import math
@@ -26,10 +28,17 @@ import numpy as np
 from flipchain import (
     EMPTY_WORD,
     AlgebraElement,
+    Bernoulli,
     CylinderFunction,
     DfsTable,
     FlipWord,
+    PauliWord,
+    glimm_map,
     ising_energy_table,
+    pauli_operator,
+    powers_state,
+    random_pauli_word,
+    unit,
 )
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -298,6 +307,33 @@ def random_algebra_element(rng, depth, words=3, horizon=None, complex_values=Tru
             vals = vals + 1j * rng.standard_normal(1 << depth)
         terms[FlipWord(m)] = CylinderFunction(depth, vals)
     return AlgebraElement(terms, depth)
+
+
+def gns_deviation(rng: np.random.Generator, n: int, spec: Bernoulli) -> float:
+    """One randomized comparison of the two state evaluations.
+
+    Draws a complex combination of Pauli-word products (including
+    sigma2-style i * sigma1 sigma3 pairs at a random site), evaluates the
+    product state on the dense side and the cyclic-vector weight on the
+    algebra side, and returns their absolute deviation.
+    """
+    M = np.zeros((1 << n, 1 << n), dtype=complex)
+    F = AlgebraElement({})
+    for _ in range(int(rng.integers(1, 4))):
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        words = [random_pauli_word(rng, n)]
+        if int(rng.integers(0, 2)):
+            k = int(rng.integers(1, n + 1))
+            c *= 1j
+            words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
+        term_m = np.eye(1 << n)
+        term_a = unit()
+        for word in words:
+            term_m = term_m @ pauli_operator(word, n)
+            term_a = convolve(term_a, glimm_map(word, spec))
+        M = M + c * term_m
+        F = F + c * term_a
+    return abs(complex(canonical_weight(F, spec)) - powers_state(M, spec.lam))
 
 
 def axioms_report_scalar(n: int) -> dict:

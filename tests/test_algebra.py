@@ -449,14 +449,30 @@ CHUNKED_RUNS = {
 }
 
 
+# trials per chunk -> the chunk sizes of 7 trials and of ising-dynamics' 3 flow
+# times: one trial per chunk, chunks of three with a ragged last one, one chunk
+CHUNKINGS = {1: ([1] * 7, [1] * 3), 3: ([3, 3, 1], [3]), 7: ([7], [3])}
+
+
 @pytest.mark.parametrize("argv", CHUNKED_RUNS)
 def test_reports_do_not_depend_on_the_chunking(monkeypatch, capsys, argv):
+    # glimm's tables reach depth n, which sizes its chunks; the others' cfg.depth
+    cfg = cli.RunConfig()
+    depth = cfg.n if argv.startswith("glimm") else cfg.depth
+    chunks, seen = cli._chunks, []
+
+    def recorded(*args):
+        out = list(chunks(*args))
+        seen.extend(len(c) for c in out)
+        return out
+
+    monkeypatch.setattr(cli, "_chunks", recorded)
     reports = {}
-    # one trial per chunk, chunks of three with a ragged last one, one chunk
-    for per_chunk, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
-        monkeypatch.setattr(cli, "CHUNK_ENTRIES", per_chunk << 6)
-        assert [len(c) for c in cli._chunks(cli.RunConfig(), 7)] == sizes
+    for per_chunk, (sizes, flow_sizes) in CHUNKINGS.items():
+        monkeypatch.setattr(cli, "CHUNK_ENTRIES", per_chunk << depth)
+        seen.clear()
         assert cli.main(argv.split()) == CHUNKED_RUNS[argv]
+        assert seen == (flow_sizes if argv == "ising-dynamics" else sizes)
         reports[per_chunk] = capsys.readouterr().out
     assert reports[1] == reports[3] == reports[7]
 
@@ -466,6 +482,6 @@ def test_chunks_cover_every_trial_once_in_bounded_chunks():
     for depth in range(DEPTH_CAP + 1):
         size = max(1, cli.CHUNK_ENTRIES >> depth)
         for count in (0, 1, size - 1, size, size + 1, 1000):
-            chunks = list(cli._chunks(cli.RunConfig(depth=depth), count))
+            chunks = list(cli._chunks(depth, count))
             assert [i for chunk in chunks for i in chunk] == list(range(count))
             assert all(1 <= len(chunk) <= size for chunk in chunks)

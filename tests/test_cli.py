@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flipchain import cli, dfs
+from flipchain import cli, dfs, matrices
 from flipchain.cli import main
 from flipchain.groupoid import FlipWord
 from flipchain.ising import NonCocyclePerturbation, attained_spectrum
@@ -137,6 +137,22 @@ def test_trace_nan_commutator_fails(monkeypatch, capsys):
                               "witness": {"lambda": 0.5}}
     (row,) = doc["report"]["sweep"]
     assert row["passed"] is False and math.isnan(row["max_commutator_deviation"])
+
+
+def test_glimm_nan_state_of_one_trial_fails(monkeypatch, capsys):
+    # the dense side runs trial by trial: the fourth of a chunk of seven reads NaN
+    calls = []
+    state = matrices.powers_state
+
+    def nan_on_the_fourth(A, lam):
+        calls.append(None)
+        return complex(math.nan) if len(calls) == 4 else state(A, lam)
+
+    monkeypatch.setattr(matrices, "powers_state", nan_on_the_fourth)
+    code, doc = run_json(capsys, "glimm", "--trials", "7")
+    assert code == 1 and len(calls) == 7
+    assert doc["failure"]["invariant"] == "state equality between matrix and groupoid sides"
+    assert math.isnan(doc["report"]["max_abs_deviation"])
 
 
 def _stub_witness(monkeypatch, violation, floor=1.0):

@@ -6,6 +6,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from flipchain import matrices
 from flipchain import (
     Bernoulli,
     CylinderFunction,
@@ -17,7 +18,7 @@ from flipchain import (
     convolve,
     e,
     glimm_map,
-    gns_deviation,
+    gns_deviations,
     max_abs_diff,
     pauli_operator,
     powers_state,
@@ -27,7 +28,7 @@ from flipchain import (
     rng_for,
     unit,
 )
-from oracles import ID2, SIGMA1, SIGMA3, kron_oracle, product_state_diagonal
+from oracles import ID2, SIGMA1, SIGMA3, gns_deviation, kron_oracle, product_state_diagonal
 
 
 def test_pauli_operator_factor_order():
@@ -168,6 +169,32 @@ def test_gns_deviation_one_trial():
     for lam, trials in ((0.3, 20), (0.5, 10)):
         spec = Bernoulli(lam)
         assert all(gns_deviation(rng_for(5, i), 3, spec) < 1e-12 for i in range(trials))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_deviations_equal_the_one_trial_oracle(monkeypatch, n):
+    # the trials of a chunk are weighed one batch per image depth: record the
+    # depths of the weighed batches
+    depths = []
+    weight = matrices.canonical_weight
+    monkeypatch.setattr(matrices, "canonical_weight",
+                        lambda F, spec: depths.append(F.depth) or weight(F, spec))
+    trials, groups = 12, set()
+    for lam in (0.3, 0.1, 0.5, float(Fraction(3, 10))):
+        spec = Bernoulli(lam)
+        for seed in (0, 7):
+            want = np.array([gns_deviation(rng_for(seed, i), n, spec) for i in range(trials)])
+            # one trial per chunk, chunks of three with a ragged last one, one chunk
+            for size in (1, 3, trials):
+                depths.clear()
+                got = np.array([dev for start in range(0, trials, size)
+                                for dev in gns_deviations(
+                                    [rng_for(seed, i) for i in range(start, min(start + size, trials))],
+                                    n, spec)])
+                assert got.tobytes() == want.tobytes(), (lam, seed, size)
+            groups.add(len(depths))
+    # the one-chunk runs weighed trials of different depths in separate batches
+    assert max(groups) > 1
 
 
 def test_random_pauli_word_reproducible():

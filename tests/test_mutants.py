@@ -20,7 +20,7 @@ import sys
 import numpy as np
 import pytest
 
-from flipchain import algebra, groupoid, ising, measures
+from flipchain import algebra, groupoid, ising, matrices, measures
 from flipchain.cli import main
 from flipchain.measures import Bernoulli, IsingBoltzmann
 
@@ -38,12 +38,13 @@ RUNS = {
     "trace at the symmetric point": (["trace", "--lambda", "0.5", "--trials", "20"], 0,
                                      "trace property at the symmetric point"),
     "spectrum": (["spectrum", "--n", "3"], 0, "attained lattice window"),
-    "glimm": (["glimm", "--trials", "20"], 0, None),
+    "glimm": (["glimm", "--trials", "20"], 0, "state equality between matrix and groupoid sides"),
 }
 
 _pow, _tt_evolve, _energy = algebra.modular_operator_pow, ising.tt_evolve, Bernoulli.energy_table
 _ising_energy = IsingBoltzmann.energy_table
 _integrate_rows = measures._integrate_rows
+_pauli, _flip = matrices.pauli_operator, algebra.pukanszky_V
 
 
 def _max_abs_dropping_nan(rows):
@@ -65,6 +66,12 @@ def _weight_of_every_word(F, spec):
 def _lattice_index_without_sign(self, word, depth):
     """lattice_table as popcount(x & w), the flipped sites at 1 without those at 0."""
     return measures._bit_count(measures._index(depth) & word.mask)
+
+
+def _flip_without_root(w, spec):
+    """pukanszky_V with its delta**-1/2 table read as ones: the bare flip."""
+    V = _flip(w, spec)
+    return V._with(V.depth, np.ones_like(V.values))
 
 
 def _hahn_target_only(F, spec):
@@ -94,6 +101,8 @@ MUTANTS = {
         (algebra.canonical_weight, _weight_of_every_word, "trace at the symmetric point"),
     "lattice index read as popcount(x & w)":
         ((Bernoulli, "lattice_table"), _lattice_index_without_sign, "spectrum"),
+    "Pauli word without its sign":
+        (matrices.pauli_operator, lambda w, n: np.abs(_pauli(w, n)), "glimm"),
 }
 
 # name -> (function or (class, method name), replacement, run, the item that will catch it)
@@ -122,6 +131,10 @@ SURVIVORS = {
     "Bernoulli energy scaled by 2":
         ((Bernoulli, "energy_table"), lambda self, w, d: 2 * _energy(self, w, d), "trace",
          "item 3: the flow at half its period is the grading"),
+    # V * V = unit either way, and the state reads only the empty word
+    "glimm's flip without its delta**-1/2 root":
+        (_flip, _flip_without_root, "glimm",
+         "item 6: the bridge intertwines the modular flows, which read the root"),
 }
 
 CASES = [pytest.param(target, replacement, run, RUNS[run][2], id=name)
@@ -168,6 +181,7 @@ def test_unmutated_verdict(capsys, nan_table, run):
 
 @pytest.mark.parametrize("target, replacement, run, invariant", CASES)
 def test_mutant_is_caught(monkeypatch, capsys, nan_table, target, replacement, run, invariant):
+    monkeypatch.setattr(matrices, "_IMAGES", {})  # a warm memo of images hides a mutant
     if isinstance(target, tuple):  # a method, patched on its class
         monkeypatch.setattr(*target, replacement)
     else:

@@ -89,6 +89,10 @@ DIGESTS = {
     # the product state at the largest n the dense side allows
     "glimm --n 8 --depth 8 --trials 20":
         (0, "d046837115f93239e2de74d2f6fd283898aee5265bf32222a9be178f84b0b345"),
+    # the largest n again, whose chunks of four trials weigh up to three image
+    # depths (3 and 5 to 8 over the run)
+    "glimm --lambda 0.1 --n 8 --depth 8 --trials 200":
+        (0, "d6a734156b978f131c2a16b759b558bef087f4d65d1982f417ea2d7a8f614439"),
     "algebra --tol 1e-30 --trials 3":
         (1, "77898c760ddadd257273e5a0f42454c589223769b46febb2550f63ffd14fc87a"),
     # several trial chunks each, with a ragged last chunk at the default depth
