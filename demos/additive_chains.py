@@ -9,12 +9,12 @@ import numpy as np
 
 from flipchain import (
     CylinderFunction,
-    FlipWord,
     cochain_delta,
     dfs_build,
     dfs_check,
     dfs_to_cochain,
     is_exact,
+    word_from_sites,
 )
 
 n, D = 3, 5
@@ -31,13 +31,13 @@ rep = dfs_check(S)
 print("identities:", rep["checks"], "checks, worst", rep["max_violation"],
       "exact zero:", rep["exact_zero"])
 
-w = FlipWord.from_sites([1, 3])
+w = word_from_sites([1, 3])
 print("table at word {1,3}:", S.entries[w].values[:8], "...")
 
 # inversion antisymmetry: S(x^w, w) = -S(x, w)
 T = S.entries[w].values
 idx = np.arange(1 << D)
-print("antisymmetry worst:", int(np.max(np.abs(T[idx ^ w.mask] + T))))
+print("antisymmetry worst:", int(np.max(np.abs(T[idx ^ w] + T))))
 
 # cochain complex: the table is a 1-cochain, its delta vanishes
 c1 = dfs_to_cochain(S)
@@ -46,5 +46,5 @@ print("delta of the table:", int(np.max(np.abs(cochain_delta(c1).values))))
 # and it is exact: a potential H with S(x, w) = H(x ^ w) - H(x)
 H = is_exact(S)
 print("potential found:", H is not None)
-reco = H.values[idx ^ w.mask] - H.values
+reco = H.values[idx ^ w] - H.values
 print("reconstruction worst:", int(np.max(np.abs(reco - T))))

@@ -21,6 +21,7 @@ from flipchain import (
     modular_operator_pow,
     pukanszky_V,
     unit,
+    word_sites,
 )
 
 mu = Bernoulli(0.3)
@@ -33,7 +34,7 @@ F = AlgebraElement({
 G = AlgebraElement({e(1): CylinderFunction.constant(0.5, D)})
 
 FG = convolve(F, G)
-print("support of F*G:", [w.sites for w in FG.support])
+print("support of F*G:", [word_sites(w) for w in FG.support])
 print("unit really is neutral:", max_abs_diff(convolve(unit(D), F), F))
 
 # involution squares to the identity

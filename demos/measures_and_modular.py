@@ -31,7 +31,7 @@ print("weight of [1 0 * * ...] =", mu.weight_table(2)[0b01])
 x, w = 0b001, e(1)
 delta = mu.delta_table(w, 3)  # Delta at every depth-3 prefix
 print("Delta at x1=1, flip {1}:", delta[x])                            # 7/3
-print("Delta at the inverse:", delta[inverse_masks(x, w.mask)[0]])      # 3/7
+print("Delta at the inverse:", delta[inverse_masks(x, w)[0]])      # 3/7
 
 # psi_k is +1 on bit 0, -1 on bit 1; its mean is 2*lam - 1
 psi1 = CylinderFunction.psi(1, 3, exact=True)

@@ -46,12 +46,11 @@ from .errors import (
 )
 from .groupoid import (
     DEPTH_CAP,
-    EMPTY_WORD,
-    FlipWord,
     axioms_report,
     check_depth,
     e,
-    enumerate_gamma,
+    word_from_sites,
+    word_sites,
 )
 from .ising import (
     NonCocyclePerturbation,
@@ -61,7 +60,6 @@ from .ising import (
     tt_evolve,
 )
 from .matrices import (
-    PauliWord,
     glimm_map,
     gns_deviations,
     pauli_operator,

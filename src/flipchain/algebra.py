@@ -32,11 +32,12 @@ are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 from types import MappingProxyType
 
 import numpy as np
 
-from .groupoid import DEPTH_CAP, EMPTY_WORD, FlipWord, check_depth
+from .groupoid import DEPTH_CAP, check_depth
 from .measures import CylinderFunction, MeasureSpec, _index, _integrate_rows, _max_abs_rows
 
 # Convolutions whose operands hold at most this many rows between them (the
@@ -65,9 +66,9 @@ class AlgebraElement:
     def __init__(self, terms: dict, depth: int | None = None):
         d = depth or 0
         for w, f in terms.items():
-            d = max(d, w.horizon, f.depth)
+            d = max(d, w.bit_length(), f.depth)
         check_depth(d)
-        rows = {(0, w.mask): f.lift(d).values for w, f in terms.items()}
+        rows = {(0, w): f.lift(d).values for w, f in terms.items()}
         self._set(d, None, *_sorted_rows(rows, d))
 
     def _set(self, depth, trials, values, trial, word, nonzero=False) -> "AlgebraElement":
@@ -124,11 +125,10 @@ class AlgebraElement:
 
     @property
     def terms(self) -> MappingProxyType:
-        """Read-only view of the rows: word -> table for a lone element,
-        (trial, word) -> table for a batch."""
+        """Read-only view of the rows: word mask -> table for a lone element,
+        (trial, word mask) -> table for a batch."""
         if self._terms is None:
-            words = map(FlipWord, self.word.tolist())
-            keys = words if self.trials is None else zip(self.trial.tolist(), words)
+            keys = self.word.tolist() if self.trials is None else self._keys()
             self._terms = MappingProxyType({
                 key: CylinderFunction(self.depth, row)
                 for key, row in zip(keys, self.values)
@@ -224,9 +224,9 @@ def _per_word(F: AlgebraElement, spec: MeasureSpec, table):
     words, and the tables table(word, d) of its rows, one build per word."""
     rows = F.word.tolist()
     words = dict.fromkeys(rows)
-    d = max([F.depth] + [spec.min_delta_depth(FlipWord(w)) for w in words])
+    d = max([F.depth] + [spec.min_delta_depth(w) for w in words])
     F = F.lift(d)
-    built = {w: table(FlipWord(w), d) for w in words}
+    built = {w: table(w, d) for w in words}
     return F, np.array([built[w] for w in rows]).reshape(len(rows), 1 << d)
 
 
@@ -411,13 +411,15 @@ def pukanszky_V(w, spec: MeasureSpec) -> AlgebraElement:
 
     Self-adjoint and unitary: V+ = V and V * V = unit.  The square root is
     irrational in general, so the table is floating point even for exact
-    measures.  A sequence of words gives the batch with one unitary per trial.
+    measures.  A sequence of word masks gives the batch with one unitary per
+    trial.
     """
-    words = [w] if isinstance(w, FlipWord) else list(w)
+    lone = isinstance(w, Integral)
+    words = [w] if lone else list(w)
     # the bare flips, one row per trial, at depth 0 until _per_word lifts them
     flips = AlgebraElement.of_rows(
-        0, None if isinstance(w, FlipWord) else len(words), np.ones((len(words), 1)),
-        np.arange(len(words)), np.array([u.mask for u in words], dtype=np.int64),
+        0, None if lone else len(words), np.ones((len(words), 1)),
+        np.arange(len(words)), np.array(words, dtype=np.int64),
         nonzero=True)
     flips, roots = _per_word(flips, spec, _inverse_root(spec))
     return flips._with(flips.depth, roots)
@@ -429,7 +431,7 @@ def pukanszky_L(phi: CylinderFunction) -> AlgebraElement:
     Applying it multiplies any vector pointwise in the target variable, and
     L_phi * L_chi = L_{phi chi} (an abelian subalgebra).
     """
-    return AlgebraElement({EMPTY_WORD: phi})
+    return AlgebraElement({0: phi})
 
 
 def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
@@ -439,7 +441,7 @@ def canonical_weight(F: AlgebraElement, spec: MeasureSpec):
     trace exactly when the measure is flip-invariant (Bernoulli lambda = 1/2).
     """
     weights = [0 if spec.exact else 0.0] * F._count
-    rows = [i for i, w in enumerate(F.word.tolist()) if w == EMPTY_WORD.mask]
+    rows = [i for i, w in enumerate(F.word.tolist()) if w == 0]
     if rows:  # without an empty-word row no weight table is read
         for t, weight in zip(F.trial[rows].tolist(),
                              _integrate_rows(spec, F.depth, F.values[rows])):

@@ -40,7 +40,7 @@ from .errors import (
     InvalidSpec,
     InvariantViolation,
 )
-from .groupoid import FlipWord, axioms_report, check_depth, e
+from .groupoid import axioms_report, check_depth, e
 from .ising import (
     NonCocyclePerturbation,
     attained_spectrum,
@@ -181,9 +181,12 @@ def config_from_args(args) -> RunConfig:
     if args.subcommand in ("haar", "algebra", "trace", "ising-dynamics"):
         spec = IsingBoltzmann(cfg.J) if kinds[0] == "ising" else Bernoulli(cfg.lam)
         if not (args.subcommand == "haar" and spec.exact):
-            check_fits(spec, max(cfg.depth, spec.min_delta_depth(FlipWord((1 << cfg.n) - 1))))
+            check_fits(spec, max(cfg.depth, spec.min_delta_depth((1 << cfg.n) - 1)))
     if args.subcommand == "glimm":  # the matrix side runs in float64
         cfg.lam = float(cfg.lam)
+        # an image multiplies up to n roots delta**-+1/2, one per site, and
+        # the roots are read from single-site delta tables
+        check_fits(Bernoulli(cfg.lam), max(1, cfg.n / 2))
     return cfg
 
 
@@ -208,10 +211,7 @@ def cmd_axioms(cfg: RunConfig):
 
 def cmd_haar(cfg: RunConfig):
     spec = cfg.spec()
-    rows = [
-        translation_covariance_check(spec, FlipWord(mask), cfg.depth)
-        for mask in range(1 << cfg.n)
-    ]
+    rows = [translation_covariance_check(spec, w, cfg.depth) for w in range(1 << cfg.n)]
     worst, witness = worst_by_check(
         (rep["word"], {"covariance": rep["max_rel_deviation"]}) for rep in rows
     )
@@ -382,10 +382,8 @@ def _trace_witness(spec) -> dict:
     }
 
 
-def _one_at(word: FlipWord):
-    return AlgebraElement(
-        {word: CylinderFunction.constant(1.0, word.horizon)}
-    )
+def _one_at(word: int):
+    return AlgebraElement({word: CylinderFunction.constant(1.0, word.bit_length())})
 
 
 def cmd_trace(cfg: RunConfig):

@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec, InvariantViolation, OrderUnsupported
-from .groupoid import FlipWord, check_depth
+from .groupoid import check_depth, word_from_sites, word_sites
 from .measures import CylinderFunction, _max_abs, _read_only, _worse
 
 
@@ -63,9 +63,8 @@ class Cochain:
 
     @property
     def entries(self) -> dict:
-        """Order 1: the rows as a word -> CylinderFunction map (views, not copies)."""
-        return {FlipWord(m): CylinderFunction(self.depth, row)
-                for m, row in enumerate(self.values)}
+        """Order 1: the rows as a word mask -> CylinderFunction map (views, not copies)."""
+        return {w: CylinderFunction(self.depth, row) for w, row in enumerate(self.values)}
 
     def max_abs(self) -> float:
         return _max_abs(self.values)
@@ -102,17 +101,15 @@ class DfsTable(Cochain):
     def __init__(self, n: int, entries: dict, depth: int | None = None):
         d = depth if depth is not None else n
         for w, f in entries.items():
-            if w.mask >> n:
-                raise InvariantViolation(
-                    f"word {w!r} exceeds horizon {n}"
-                )
+            if w >> n:
+                raise InvariantViolation(f"word {word_sites(w)} exceeds horizon {n}")
             d = max(d, f.depth)
         check_depth(d)  # before the rows are allocated
         # object if any one table holds objects
         dtype = np.result_type(*[f.values.dtype for f in entries.values()] or [np.float64])
         rows = np.zeros((1 << n, 1 << d), dtype=dtype)
         for w, f in entries.items():
-            rows[w.mask] = f.lift(d).values
+            rows[w] = f.lift(d).values
         super().__init__(1, n, d, rows)
 
     @classmethod
@@ -275,7 +272,7 @@ def dfs_to_json(S: DfsTable) -> dict:
     table stores its values as strings."""
     scalar = str if S.values.dtype == object else float
     return {"n": S.n, "entries": [
-        {"flips": list(w.sites), "depth": f.depth,
+        {"flips": word_sites(w), "depth": f.depth,
          "values": [scalar(v) for v in f.values.tolist()]}
         for w, f in S.entries.items()]}
 
@@ -300,10 +297,13 @@ def dfs_from_json(doc: dict) -> DfsTable:
             raise InvalidSpec(f"table entry {i}: depth must be an integer, got {depth!r}")
         try:
             sites = list(rec["flips"])
-            # refused before from_sites forms the bit 1 << (site - 1)
+            # refused before word_from_sites forms the bit 1 << (site - 1)
             if any(isinstance(s, int) and s > n for s in sites):
                 raise InvalidSpec(f"table entry {i}: a site of {sites!r} exceeds horizon {n}")
-            w = FlipWord.from_sites(sites)
+            w = word_from_sites(sites)
+            # a repeat would replace the record before it unchecked
+            if w in entries:
+                raise InvalidSpec(f"table entry {i}: repeated word {sites!r}")
             raw = rec["values"]
             if raw and isinstance(raw[0], str):
                 values = np.array([Fraction(v) for v in raw], dtype=object)

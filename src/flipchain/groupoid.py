@@ -4,7 +4,8 @@ The base space is the set of infinite binary sequences, represented by finite
 prefixes: every consumer in this package is a cylinder function, so a depth-D
 prefix is a faithful stand-in for the full sequence.  Site k is bit k - 1 of
 an integer mask (site 1 is the least significant bit), and prefix bit 0 means
-"outcome 0", which carries the lambda weight of the Bernoulli measure.
+"outcome 0", which carries the lambda weight of the Bernoulli measure.  A
+flip word, a finite set of flipped sites, is its mask, a Python int.
 
 A transition (x, w) is a point mask x and a word mask w of flipped sites: it
 ends at x and starts at source(x, w) = x ^ w.  Flip words form an abelian
@@ -16,7 +17,6 @@ transition: `axioms_report` broadcasts it over all prefixes and words at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from numbers import Integral
 from time import perf_counter
 
@@ -34,66 +34,29 @@ def check_depth(depth: int) -> None:
         raise HorizonOverflow(f"depth {depth} exceeds cap {DEPTH_CAP}")
 
 
-@dataclass(frozen=True, order=True)
-class FlipWord:
-    """A finite set of flipped sites, stored as a bitmask (site k <-> bit k-1)."""
-
-    mask: int = 0
-
-    def __post_init__(self):
-        if self.mask < 0:
-            raise ValueError("flip-word mask must be nonnegative")
-
-    @classmethod
-    def from_sites(cls, sites) -> "FlipWord":
-        """Build a word from an iterable of distinct 1-based site indices."""
-        mask = 0
-        for s in sites:
-            if isinstance(s, bool) or not isinstance(s, Integral):
-                raise ValueError(f"site indices are integers, got {s!r}")
-            if s < 1:
-                raise ValueError(f"site indices are 1-based, got {s}")
-            bit = 1 << (s - 1)
-            if mask & bit:
-                raise ValueError(f"duplicate site {s}")
-            mask |= bit
-        return cls(mask)
-
-    @property
-    def sites(self) -> tuple[int, ...]:
-        return tuple(
-            k + 1 for k in range(self.mask.bit_length()) if self.mask >> k & 1
-        )
-
-    @property
-    def horizon(self) -> int:
-        """Largest flipped site, 0 for the empty word."""
-        return self.mask.bit_length()
-
-    def __xor__(self, other: "FlipWord") -> "FlipWord":
-        """Symmetric difference of two flip words (the group law)."""
-        return FlipWord(self.mask ^ other.mask)
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __hash__(self) -> int:
-        # equal words have equal masks; cheaper than the generated hash((mask,))
-        return self.mask
-
-    def __iter__(self):
-        return iter(self.sites)
-
-    def __repr__(self):
-        return "FlipWord{%s}" % ",".join(map(str, self.sites))
+def word_sites(w: int) -> list[int]:
+    """The flipped sites of the word mask w, ascending."""
+    return [k + 1 for k in range(w.bit_length()) if w >> k & 1]
 
 
-EMPTY_WORD = FlipWord(0)
+def word_from_sites(sites) -> int:
+    """The word mask of an iterable of distinct 1-based site indices."""
+    mask = 0
+    for s in sites:
+        if isinstance(s, bool) or not isinstance(s, Integral):
+            raise ValueError(f"site indices are integers, got {s!r}")
+        if s < 1:
+            raise ValueError(f"site indices are 1-based, got {s}")
+        bit = 1 << (s - 1)
+        if mask & bit:
+            raise ValueError(f"duplicate site {s}")
+        mask |= bit
+    return mask
 
 
-def e(k: int) -> FlipWord:
+def e(k: int) -> int:
     """The single-site word flipping site k."""
-    return FlipWord.from_sites([k])
+    return word_from_sites([k])
 
 
 # The law on masks (see the module docstring), for ints and arrays alike.
@@ -115,14 +78,6 @@ def compose_masks(x, u, v):
 
 def inverse_masks(x, w):
     return source(x, w), w
-
-
-def enumerate_gamma(n: int) -> list[FlipWord]:
-    """All 2**n flip words with horizon <= n, in ascending-bitmask order."""
-    if n < 0:
-        raise ValueError("horizon must be nonnegative")
-    check_depth(n)
-    return [FlipWord(m) for m in range(1 << n)]
 
 
 # The axiom sweep's chunks along the prefix axis span this many (x, u, v, w).
@@ -152,10 +107,12 @@ def axioms_report(n: int) -> dict:
     checks; a composition that is not composable fails its entry.  Returns a
     report dict with the number of checks, violations, and elapsed seconds.
     """
+    if n < 0:
+        raise ValueError("horizon must be nonnegative")
+    check_depth(n)
     t0 = perf_counter()
-    masks = [w.mask for w in enumerate_gamma(n)]
     # at horizon n the words and the depth-n prefixes are the same 2**n masks
-    prefixes = words = np.array(masks, np.min_scalar_type(masks[-1]))
+    prefixes = words = np.arange(1 << n, dtype=np.min_scalar_type((1 << n) - 1))
     checks = violations = 0
 
     def tally(operands, *families):

@@ -20,7 +20,6 @@ from .algebra import AlgebraElement, convolve, hahn_norm, l2_norm, max_abs_diff
 # the one depth rule of the modular maps, and their per-word tables
 from .algebra import _per_word
 from .errors import DegenerateSpectrum, InvalidSpec
-from .groupoid import FlipWord
 from .measures import Bernoulli, CylinderFunction
 
 
@@ -42,12 +41,12 @@ class NonCocyclePerturbation:
         self.base = base
         self.amplitude = float(amplitude)
 
-    def min_delta_depth(self, word: FlipWord) -> int:
+    def min_delta_depth(self, word: int) -> int:
         return max(self.base.min_delta_depth(word), 2)
 
-    def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def energy_table(self, word: int, depth: int) -> np.ndarray:
         out = np.asarray(self.base.energy_table(word, depth), dtype=np.float64)
-        if 1 in word.sites:
+        if word & 1:  # site 1 flipped
             out = out + self.amplitude * CylinderFunction.psi(2, depth).values
         return out
 
@@ -77,7 +76,7 @@ def attained_spectrum(lam, horizon: int) -> dict:
     attained = set()
     for mask in range(1 << horizon):
         # one table at a time: np.unique over all of them at once costs memory
-        attained.update(np.unique(spec.lattice_table(FlipWord(mask), horizon)).tolist())
+        attained.update(np.unique(spec.lattice_table(mask, horizon)).tolist())
     mismatched = len(attained ^ set(range(-horizon, horizon + 1)))
     return {
         "lambda": float(lam),

@@ -7,16 +7,14 @@ matrix generators into the convolution algebra,
     sigma1 at site k  ->  V at the single-flip word e_k,
     sigma3 at site k  ->  multiplication by the parity function psi_k.
 
-Site 1 is the first tensor factor, so the matrix row index carries site 1 in
-its most significant bit.  Prefixes keep site 1 in the least significant bit.
-The product state is the Bernoulli measure's own integral of the matrix
-diagonal, its site axes reversed; otherwise the two sides are never
-index-matched, and equality of expectations is checked through the state
-values themselves.
+A Pauli word is a pair (x, z) of disjoint site masks, x its sigma1 sites
+and z its sigma3 sites, site k at bit k - 1 as everywhere in the package.
+The matrix row index is a prefix mask too, so site 1 is the last tensor
+factor, the matrix diagonal is a cylinder table, and the product state is
+the Bernoulli measure's own integral of it.
 
-A Pauli word is a signed permutation matrix, built from its bit masks rather
-than as a Kronecker product: with x the letter-1 sites and z the letter-3
-sites (site k at bit n - k), entry (r, r ^ x) is (-1)**popcount((r ^ x) & z)
+A Pauli word is a signed permutation matrix, built from its masks rather
+than as a Kronecker product: entry (r, r ^ x) is (-1)**popcount((r ^ x) & z)
 and every other entry is zero.  The entries are exact, so products of words
 are the same floats in any summation order.
 
@@ -28,7 +26,6 @@ batches of trials, each trial with the bits it has on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -42,53 +39,18 @@ from .algebra import (
     unit,
 )
 from .errors import InvalidSpec, SiteOutOfRange
-from .groupoid import e
+from .groupoid import e, word_sites
 from .measures import Bernoulli, CylinderFunction, integrate
 
 
-@dataclass(frozen=True)
-class PauliWord:
-    """Product of one-site generators: map site -> letter, letters in {1, 3}.
-
-    Factors at distinct sites commute, so the site-ascending storage order is
-    a canonical form, not a choice of operator.
-    """
-
-    letters: tuple = ()
-
-    def __post_init__(self):
-        seen = set()
-        for site, letter in self.letters:
-            if not isinstance(site, int) or site < 1:
-                raise SiteOutOfRange(f"site {site!r} must be a positive int")
-            if site in seen:
-                raise InvalidSpec(f"site {site} appears twice in one word")
-            if letter not in (1, 3):
-                raise InvalidSpec(f"letter {letter!r} not in {{1, 3}}")
-            seen.add(site)
-        object.__setattr__(
-            self, "letters", tuple(sorted(self.letters))
-        )
-
-    @property
-    def sites(self) -> tuple:
-        return tuple(site for site, _ in self.letters)
-
-    @property
-    def max_site(self) -> int:
-        return max(self.sites, default=0)
-
-    def __repr__(self):
-        body = ", ".join(f"{s}:{l}" for s, l in self.letters)
-        return f"PauliWord({{{body}}})"
-
-
-def pauli_operator(w: PauliWord, n: int) -> np.ndarray:
-    """The 2**n x 2**n float64 matrix of a Pauli word, site 1 as first factor."""
-    if w.max_site > n:
-        raise SiteOutOfRange(f"word uses site {w.max_site} but n={n}")
-    x = sum(1 << (n - site) for site, letter in w.letters if letter == 1)
-    z = sum(1 << (n - site) for site, letter in w.letters if letter == 3)
+def pauli_operator(w: tuple, n: int) -> np.ndarray:
+    """The 2**n x 2**n float64 matrix of the Pauli word w = (x, z), rows and
+    columns indexed by prefix masks."""
+    x, z = w
+    if (x | z) >> n:
+        raise SiteOutOfRange(f"word uses site {(x | z).bit_length()} but n={n}")
+    if x & z:
+        raise InvalidSpec(f"sites {word_sites(x & z)} carry both sigma1 and sigma3")
     rows = np.arange(1 << n)
     entries = np.zeros((1 << n, 1 << n))
     entries[rows, rows ^ x] = 1.0 - 2.0 * (np.bitwise_count((rows ^ x) & z) & 1)
@@ -102,8 +64,7 @@ def powers_state(A: np.ndarray, lam) -> complex:
     if not 0 < lam <= 0.5:
         raise InvalidSpec(f"lambda={lam} outside (0, 1/2]")
     n = len(A).bit_length() - 1
-    diagonal = np.diagonal(A).reshape((2,) * n).transpose().ravel()
-    return complex(integrate(Bernoulli(lam), CylinderFunction(n, diagonal)))
+    return complex(integrate(Bernoulli(lam), CylinderFunction(n, np.diagonal(A))))
 
 
 # Word images per (measure, word); the measure key carries the parameter's
@@ -111,37 +72,39 @@ def powers_state(A: np.ndarray, lam) -> complex:
 _IMAGES: dict = {}
 
 
-def glimm_map(w: PauliWord, spec) -> AlgebraElement:
-    """Image of a Pauli word in the convolution algebra.
+def glimm_map(w: tuple, spec) -> AlgebraElement:
+    """Image of the Pauli word w = (x, z) in the convolution algebra.
 
-    Letter 1 at site k maps to the weighted flip V_{e_k}, letter 3 to
+    sigma1 at site k maps to the weighted flip V_{e_k}, sigma3 to
     multiplication by psi_k; the images are star-multiplied site-ascending,
-    so a word's image is its image without the last letter times that
-    letter's, built once from the memoised prefix.  Star-homomorphism on
+    so a word's image is the image of the word without its top site times
+    that site's, built once from the memoised prefix.  Star-homomorphism on
     words holds because distinct-site images commute.
     """
     if not isinstance(spec, Bernoulli):
         raise InvalidSpec("the generator correspondence needs a Bernoulli measure")
-    key = spec._key("glimm", w.letters)
+    x, z = w
+    key = spec._key("glimm", x, z)
     if key not in _IMAGES:
-        if not w.letters:
+        site = (x | z).bit_length()
+        if not site:
             _IMAGES[key] = unit()
         else:
-            site, letter = w.letters[-1]
-            factor = (pukanszky_V(e(site), spec) if letter == 1 else
+            top = 1 << (site - 1)
+            factor = (pukanszky_V(top, spec) if x & top else
                       pukanszky_L(CylinderFunction.psi(site, site, exact=spec.exact)))
-            _IMAGES[key] = convolve(glimm_map(PauliWord(w.letters[:-1]), spec), factor)
+            _IMAGES[key] = convolve(glimm_map((x & ~top, z & ~top), spec), factor)
     return _IMAGES[key]
 
 
-def random_pauli_word(rng: np.random.Generator, n: int) -> PauliWord:
-    """Each site independently blank, letter 1, or letter 3."""
-    letters = []
-    for site in range(1, n + 1):
+def random_pauli_word(rng: np.random.Generator, n: int) -> tuple:
+    """Each site independently blank, sigma1 or sigma3: the (x, z) masks."""
+    x = z = 0
+    for k in range(n):
         r = int(rng.integers(0, 3))
-        if r:
-            letters.append((site, 1 if r == 1 else 3))
-    return PauliWord(tuple(letters))
+        x |= (r == 1) << k
+        z |= (r == 2) << k
+    return x, z
 
 
 def gns_deviations(rngs, n: int, spec: Bernoulli) -> list:
@@ -166,7 +129,7 @@ def gns_deviations(rngs, n: int, spec: Bernoulli) -> list:
             if int(rng.integers(0, 2)):
                 k = int(rng.integers(1, n + 1))
                 c *= 1j
-                words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
+                words += [(e(k), 0), (0, e(k))]
             # no identity in front: products of 0 and +-1 entries are exact
             M = M + c * reduce(np.matmul, [pauli_operator(w, n) for w in words])
             terms.append((c, [glimm_map(w, spec) for w in words]))

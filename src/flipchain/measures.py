@@ -53,7 +53,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DepthTooSmall, InvalidSpec
-from .groupoid import FlipWord, check_depth
+from .groupoid import check_depth, word_sites
 
 
 _TABLES: dict = {}
@@ -86,9 +86,9 @@ def _bit_count(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits).astype(np.int64)
 
 
-def _across_flip(delta: np.ndarray, word: FlipWord, depth: int) -> np.ndarray:
+def _across_flip(delta: np.ndarray, word: int, depth: int) -> np.ndarray:
     """A word's delta table read at x ^ word: the inverse table, by the cocycle law."""
-    return _read_only(delta[_index(depth) ^ word.mask])
+    return _read_only(delta[_index(depth) ^ word])
 
 
 def _exceeds(dev: float, worst: float) -> bool:
@@ -210,17 +210,17 @@ class Bernoulli:
         # the parameter's type carries the exactness: 0.5 == Fraction(1, 2)
         return (self.kind, type(self.lam), self.lam) + rest
 
-    def _ints(self, depth: int, word: FlipWord | None = None) -> tuple[list, int, np.ndarray]:
+    def _ints(self, depth: int, word: int | None = None) -> tuple[list, int, np.ndarray]:
         """The exact weight (no word) or delta table as its distinct numerators
         x**(m-j) y**j, their denominator and each prefix's popcount j."""
         a, q = self.lam.as_integer_ratio()
         b = q - a
         x, y, base, m, mask = ((a, b, q, depth, -1) if word is None else
-                               (a * a, b * b, a * b, word.mask.bit_count(), word.mask))
+                               (a * a, b * b, a * b, word.bit_count(), word))
         return ([x ** (m - j) * y ** j for j in range(m + 1)], base ** m,
                 _bit_count(_index(depth) & mask))
 
-    def _fractions(self, depth: int, word: FlipWord | None = None) -> np.ndarray:
+    def _fractions(self, depth: int, word: int | None = None) -> np.ndarray:
         row, den, counts = self._ints(depth, word)
         return _read_only(np.array([Fraction(n, den) for n in row], dtype=object)[counts])
 
@@ -235,8 +235,8 @@ class Bernoulli:
         # site k is bit k-1, so later sites occupy more significant bits.
         return reduce(lambda acc, _: np.kron(site, acc), range(depth), np.ones(1))
 
-    def min_delta_depth(self, word: FlipWord) -> int:
-        return word.horizon
+    def min_delta_depth(self, word: int) -> int:
+        return word.bit_length()
 
     @property
     def step(self) -> float:
@@ -249,14 +249,15 @@ class Bernoulli:
         a, q = self.lam.as_integer_ratio()
         return depth * abs(math.log(q - a) - math.log(a))  # exact ints: no float cast to overflow
 
-    def lattice_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def lattice_table(self, word: int, depth: int) -> np.ndarray:
         """Integer table of k = sum over flipped sites of (2 x_j - 1), the
         exact lattice index of log delta = step * k."""
-        if depth < word.horizon:
-            raise DepthTooSmall(f"horizon {word.horizon} needs depth >= {word.horizon}")
-        return 2 * _bit_count(_index(depth) & word.mask) - word.mask.bit_count()
+        horizon = word.bit_length()
+        if depth < horizon:
+            raise DepthTooSmall(f"horizon {horizon} needs depth >= {horizon}")
+        return 2 * _bit_count(_index(depth) & word) - word.bit_count()
 
-    def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def energy_table(self, word: int, depth: int) -> np.ndarray:
         """The transition energy S = -log delta = step * -k."""
         return self.step * -self.lattice_table(word, depth)
 
@@ -265,22 +266,21 @@ class Bernoulli:
         r = (1.0 - self.lam) / self.lam
         return np.where(_site_bit(_index(depth), site) == 1, r, 1 / r)
 
-    def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def delta_table(self, word: int, depth: int) -> np.ndarray:
         """Modular function ((x, word)) for every depth-`depth` prefix x."""
-        if depth < word.horizon:
-            raise DepthTooSmall(
-                f"delta for horizon {word.horizon} needs depth >= {word.horizon}"
-            )
+        horizon = word.bit_length()
+        if depth < horizon:
+            raise DepthTooSmall(f"delta for horizon {horizon} needs depth >= {horizon}")
         check_depth(depth)
         if self.exact:
             return self._fractions(depth, word)
         acc = _cached(("ones", depth), lambda: np.ones(1 << depth))
-        for k in word.sites:
+        for k in word_sites(word):
             acc = acc * _cached(self._key("ratio", depth, k),
                                 lambda: self._ratio_row(depth, k))
         return _read_only(acc)
 
-    def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def delta_inv_table(self, word: int, depth: int) -> np.ndarray:
         return _across_flip(self.delta_table(word, depth), word, depth)
 
     def to_json(self) -> dict:
@@ -304,18 +304,19 @@ def _bond_sums(depth: int) -> np.ndarray:
     return bonds - 2 * _bit_count((idx ^ idx >> 1) & ((1 << bonds) - 1))
 
 
-def ising_energy_table(word: FlipWord, depth: int) -> np.ndarray:
+def ising_energy_table(word: int, depth: int) -> np.ndarray:
     """Integer table of S / J = C[x] - C[x ^ word], where S(x, w) = H(x ^ w) -
     H(x) is the transition energy; depth >= horizon + 1 resolves every bond.
 
     Callers multiply by J after the integer difference: J * (-k) == -(J * k)
     bit for bit, so the energy and both delta tables round alike.
     """
-    if word and depth < word.horizon + 1:
-        raise DepthTooSmall(f"Ising energy for horizon {word.horizon} needs "
-                            f"depth >= {word.horizon + 1}, got {depth}")
+    horizon = word.bit_length()
+    if word and depth < horizon + 1:
+        raise DepthTooSmall(f"Ising energy for horizon {horizon} needs "
+                            f"depth >= {horizon + 1}, got {depth}")
     c = ising_bond_coefficients(depth)
-    return c - c[_index(depth) ^ word.mask]
+    return c - c[_index(depth) ^ word]
 
 
 @dataclass(frozen=True)
@@ -347,22 +348,22 @@ class IsingBoltzmann:
 
         return _cached(self._key("weight", depth), build)
 
-    def min_delta_depth(self, word: FlipWord) -> int:
-        return word.horizon + 1 if word else 0
+    def min_delta_depth(self, word: int) -> int:
+        return word.bit_length() + 1 if word else 0
 
     def max_log_delta(self, depth: int) -> float:
         """The largest |log delta| of a word at depth, 2 |J| (depth - 1): a word
         of alternate sites turns every bond; also the spread of the log-weights."""
         return 2 * abs(self.J) * max(depth - 1, 0)
 
-    def delta_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def delta_table(self, word: int, depth: int) -> np.ndarray:
         """e^{-S}; independent of depth >= horizon + 1."""
         return _read_only(np.exp(-self.J * ising_energy_table(word, depth)))
 
-    def delta_inv_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def delta_inv_table(self, word: int, depth: int) -> np.ndarray:
         return _across_flip(self.delta_table(word, depth), word, depth)
 
-    def energy_table(self, word: FlipWord, depth: int) -> np.ndarray:
+    def energy_table(self, word: int, depth: int) -> np.ndarray:
         """The transition energy S = -log delta = H(x ^ w) - H(x)."""
         return float(self.J) * ising_energy_table(word, depth)
 
@@ -504,7 +505,7 @@ def partition_report(J: float, n: int, tol: float = 1e-12) -> dict:
     }
 
 
-def _numerators(spec: MeasureSpec, depth: int, word: FlipWord | None = None):
+def _numerators(spec: MeasureSpec, depth: int, word: int | None = None):
     """The weight (no word) or delta table as (numerators, denominator): Python
     ints over one int for an exact measure, the float table over 1 otherwise."""
     if spec.exact:
@@ -534,7 +535,7 @@ def pushforward_projection_check(spec: MeasureSpec, n: int, k: int) -> dict:
     }
 
 
-def translation_covariance_check(spec: MeasureSpec, w: FlipWord, depth: int) -> dict:
+def translation_covariance_check(spec: MeasureSpec, w: int, depth: int) -> dict:
     """Verify weight(p ^ w) = delta((p, w))**-1 * weight(p) on every cylinder.
 
     This is the push-forward/Radon-Nikodym property of the measure under the
@@ -543,17 +544,17 @@ def translation_covariance_check(spec: MeasureSpec, w: FlipWord, depth: int) -> 
     """
     if depth < spec.min_delta_depth(w):
         raise DepthTooSmall(
-            f"covariance check for horizon {w.horizon} needs depth >= "
+            f"covariance check for horizon {w.bit_length()} needs depth >= "
             f"{spec.min_delta_depth(w)}, got {depth}"
         )
     weights, _ = _numerators(spec, depth)
     delta, den = _numerators(spec, depth, w)
-    lhs = weights[_index(depth) ^ w.mask] * den
+    lhs = weights[_index(depth) ^ w] * den
     rhs = _across_flip(delta, w, depth) * weights  # delta**-1 is delta across the flip
     dev = np.abs(lhs - rhs)
     return {
         "measure": spec.to_json(),
-        "word": list(w.sites),
+        "word": word_sites(w),
         "depth": depth,
         "max_rel_deviation": float(np.max(dev / rhs)),
         "exact_zero": bool(spec.exact and np.all(dev == 0)),

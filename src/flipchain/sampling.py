@@ -13,7 +13,7 @@ import hashlib
 import numpy as np
 
 from .algebra import AlgebraElement
-from .groupoid import FlipWord, check_depth
+from .groupoid import check_depth
 from .measures import CylinderFunction
 
 _TAG = b"flipchain"
@@ -33,8 +33,8 @@ def rng_for(master: int, index: int) -> np.random.Generator:
     return np.random.default_rng(trial_seed(master, index))
 
 
-def random_word(rng: np.random.Generator, n: int) -> FlipWord:
-    return FlipWord(int(rng.integers(0, 1 << n)))
+def random_word(rng: np.random.Generator, n: int) -> int:
+    return int(rng.integers(0, 1 << n))
 
 
 def _normal_rows(rng: np.random.Generator, rows: int, depth: int, complex_values: bool):

@@ -4,7 +4,8 @@ Each one recomputes a quantity site by site, sharing no table with the
 package.  A transition is a pair (x, w) of Python int masks, as in the
 package: the Bernoulli cylinder weight and modular function of one prefix,
 the Ising transition energy as the difference of two bond sums read spin by
-spin, a Pauli word as the Kronecker product of its one-site matrices, the
+spin, a Pauli word as the Kronecker product of its one-site matrices (site
+1 the last factor, so that row indices are prefix masks), the
 inverse modular tables built directly (the package reads them across the
 flip), the Bernoulli lattice index and the Ising bond sums summed site by
 site (the package counts bits) and the product-state diagonal as a Kronecker
@@ -26,13 +27,10 @@ from time import perf_counter
 import numpy as np
 
 from flipchain import (
-    EMPTY_WORD,
     AlgebraElement,
     Bernoulli,
     CylinderFunction,
     DfsTable,
-    FlipWord,
-    PauliWord,
     glimm_map,
     ising_energy_table,
     pauli_operator,
@@ -51,6 +49,11 @@ def _bit(x: int, site: int) -> int:
     return x >> (site - 1) & 1
 
 
+def _sites(w: int) -> list:
+    """The flipped sites of word mask w, ascending."""
+    return [k for k in range(1, w.bit_length() + 1) if _bit(w, k)]
+
+
 def bernoulli_weight(lam, x: int, depth: int):
     """Weight of the cylinder of the depth-`depth` prefix x: lam per 0 bit,
     1 - lam per 1 bit."""
@@ -65,7 +68,7 @@ def bernoulli_delta(lam, x: int, w: int):
     of r**(2 x_k - 1), with r = (1 - lam) / lam."""
     r = (1 - lam) / lam
     out = r / r
-    for k in FlipWord(w).sites:
+    for k in _sites(w):
         out = out * (r if _bit(x, k) else 1 / r)
     return out
 
@@ -83,7 +86,7 @@ def ising_energy(J, x: int, w: int, depth: int) -> float:
 
 def ising_dfs_coefficients(n: int, depth: int) -> DfsTable:
     """The S / J tables on all words up to horizon n, in exact integers."""
-    return DfsTable.of_rows(np.stack([ising_energy_table(FlipWord(m), depth)
+    return DfsTable.of_rows(np.stack([ising_energy_table(m, depth)
                                       for m in range(1 << n)]))
 
 
@@ -95,7 +98,7 @@ def bernoulli_delta_inv_table(lam, word, depth: int) -> np.ndarray:
     r = ((Fraction(1) if exact else 1.0) - lam) / lam
     idx = np.arange(1 << depth)
     acc = np.full(1 << depth, r / r, dtype=object if exact else np.float64)
-    for k in word.sites:
+    for k in _sites(word):
         acc = acc * np.where((idx >> (k - 1)) & 1 == 1, 1 / r, r)
     return acc
 
@@ -105,14 +108,14 @@ def ising_delta_inv_table(J, word, depth: int) -> np.ndarray:
     idx = np.arange(1 << depth)
     spins = [1 - 2 * ((idx >> k) & 1) for k in range(depth)]
     c = sum((a * b for a, b in zip(spins, spins[1:])), np.zeros(1 << depth, dtype=np.int64))
-    return np.exp(J * (c - c[idx ^ word.mask]))
+    return np.exp(J * (c - c[idx ^ word]))
 
 
 def lattice_table(word, depth: int) -> np.ndarray:
     """k = sum over flipped sites j of (2 x_j - 1), one site at a time."""
     idx = np.arange(1 << depth)
     k = np.zeros(1 << depth, dtype=np.int64)
-    for j in word.sites:
+    for j in _sites(word):
         k += 2 * ((idx >> (j - 1)) & 1) - 1
     return k
 
@@ -127,16 +130,22 @@ def bond_sums(depth: int) -> np.ndarray:
 
 
 def product_state_diagonal(lam: float, n: int) -> np.ndarray:
-    """The diagonal of diag(lam, 1 - lam) tensored n times, site 1 first."""
-    return reduce(np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0]))
+    """The diagonal of diag(lam, 1 - lam) tensored n times, site 1 the last
+    factor: rho (x) (rho (x) ... (rho (x) rho)), nested from site 1 outward,
+    so that each entry multiplies its sites' weights in ascending site order."""
+    rho = np.array([lam, 1.0 - lam])
+    return reduce(lambda acc, _: np.kron(rho, acc), range(n), np.array([1.0]))
 
 
 def kron_oracle(w, n: int) -> np.ndarray:
-    """A Pauli word on n sites as the Kronecker product of its one-site factors."""
-    letters = dict(w.letters)
-    factor = {1: SIGMA1, 3: SIGMA3}
-    return reduce(np.kron, [factor.get(letters.get(k), ID2) for k in range(1, n + 1)],
-                  np.eye(1))
+    """The Pauli word w = (x, z) on n sites as the Kronecker product of its
+    one-site factors, site n first and site 1 last."""
+    x, z = w
+
+    def factor(k):
+        return SIGMA1 if _bit(x, k) else SIGMA3 if _bit(z, k) else ID2
+
+    return reduce(np.kron, [factor(k) for k in range(n, 0, -1)], np.eye(1))
 
 
 # The convolution algebra one trial and one word pair at a time, the
@@ -187,7 +196,7 @@ def convolve(F, G):
     for wf in sorted(F.terms):
         tf = F.terms[wf].values
         for wg in sorted(G.terms):
-            contrib = tf * G.terms[wg].values[idx ^ wf.mask]
+            contrib = tf * G.terms[wg].values[idx ^ wf]
             w = wf ^ wg
             acc[w] = acc[w] + contrib if w in acc else contrib
     return AlgebraElement({w: CylinderFunction(d, v) for w, v in acc.items()}, d)
@@ -202,7 +211,7 @@ def involution(F, spec):
     F = F.lift(d)
     idx = np.arange(1 << d)
     return AlgebraElement({
-        w: CylinderFunction(d, spec.delta_inv_table(w, d) * np.conjugate(f.values[idx ^ w.mask]))
+        w: CylinderFunction(d, spec.delta_inv_table(w, d) * np.conjugate(f.values[idx ^ w]))
         for w, f in F.terms.items()
     }, d)
 
@@ -217,7 +226,7 @@ def modular_conjugation(F, spec):
     idx = np.arange(1 << d)
     return AlgebraElement({
         w: CylinderFunction(d, _as_float(spec.delta_inv_table(w, d) ** 0.5)
-                            * np.conjugate(f.values[idx ^ w.mask]))
+                            * np.conjugate(f.values[idx ^ w]))
         for w, f in F.terms.items()
     }, d)
 
@@ -267,21 +276,21 @@ def hahn_norm(F, spec) -> float:
     for w in sorted(F.terms):
         absv = _as_float(np.abs(F.terms[w].values))
         branch_t = branch_t + absv
-        branch_s = branch_s + _as_float(spec.delta_inv_table(w, d)) * absv[idx ^ w.mask]
+        branch_s = branch_s + _as_float(spec.delta_inv_table(w, d)) * absv[idx ^ w]
     if not F.terms:
         return 0.0
     return float(np.maximum(branch_t.max(), branch_s.max()))
 
 
 def pukanszky_V(w, spec):
-    d = max(spec.min_delta_depth(w), w.horizon)
+    d = max(spec.min_delta_depth(w), w.bit_length())
     return AlgebraElement({w: CylinderFunction(d, _as_float(spec.delta_inv_table(w, d) ** 0.5))})
 
 
 def canonical_weight(F, spec):
-    if EMPTY_WORD not in F.terms:
+    if 0 not in F.terms:
         return 0 if spec.exact else 0.0
-    return integrate(spec, F.terms[EMPTY_WORD])
+    return integrate(spec, F.terms[0])
 
 
 def tt_evolve(F, t, energy):
@@ -305,7 +314,7 @@ def random_algebra_element(rng, depth, words=3, horizon=None, complex_values=Tru
         vals = rng.standard_normal(1 << depth)
         if complex_values:
             vals = vals + 1j * rng.standard_normal(1 << depth)
-        terms[FlipWord(m)] = CylinderFunction(depth, vals)
+        terms[m] = CylinderFunction(depth, vals)
     return AlgebraElement(terms, depth)
 
 
@@ -325,7 +334,7 @@ def gns_deviation(rng: np.random.Generator, n: int, spec: Bernoulli) -> float:
         if int(rng.integers(0, 2)):
             k = int(rng.integers(1, n + 1))
             c *= 1j
-            words += [PauliWord(((k, 1),)), PauliWord(((k, 3),))]
+            words += [(1 << k - 1, 0), (0, 1 << k - 1)]
         term_m = np.eye(1 << n)
         term_a = unit()
         for word in words:

@@ -20,7 +20,6 @@ from flipchain import (
     CylinderFunction,
     DegenerateSpectrum,
     DfsTable,
-    FlipWord,
     IsingBoltzmann,
     NonCocyclePerturbation,
     attained_spectrum,
@@ -61,7 +60,7 @@ def test_criterion_01_groupoid_axioms():
 def test_criterion_02_measure_covariance():
     """Flip covariance of the weights: exact for rational parameters, 1e-12
     for floats, both measure families."""
-    words = [FlipWord(m) for m in range(8)]
+    words = range(8)
     for lam in (Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)):
         spec = Bernoulli(lam)
         for w in words:
@@ -91,24 +90,20 @@ def test_criterion_03_modular_homomorphism():
     idx = np.arange(1 << depth)
     for spec in (Bernoulli(0.3), IsingBoltzmann(1.0)):
         worst = 0.0
-        for mu in range(16):
-            u = FlipWord(mu)
+        for u in range(16):
             du = spec.delta_table(u, depth)
-            for mv in range(16):
-                v = FlipWord(mv)
+            for v in range(16):
                 dv = spec.delta_table(v, depth)
                 duv = spec.delta_table(u ^ v, depth)
-                product = du * dv[idx ^ mu]
+                product = du * dv[idx ^ u]
                 worst = max(worst, float(np.max(np.abs(duv - product) / duv)))
         assert worst < 1e-12
     # rational mode is identically equal
     spec = Bernoulli(Fraction(3, 10))
-    for mu in range(16):
-        u = FlipWord(mu)
+    for u in range(16):
         du = spec.delta_table(u, depth)
-        for mv in range(16):
-            v = FlipWord(mv)
-            product = du * spec.delta_table(v, depth)[idx ^ mu]
+        for v in range(16):
+            product = du * spec.delta_table(v, depth)[idx ^ u]
             assert np.array_equal(spec.delta_table(u ^ v, depth), product)
 
 
@@ -253,14 +248,14 @@ def test_criterion_09_chain_energy_tables():
         assert spec.energy_table(e(1), D)[0] == 2 * J
         for j in range(2, D):
             assert spec.energy_table(e(j), D)[0] == 4 * J
-            assert oracles.ising_energy(J, 0, e(j).mask, D) == pytest.approx(4 * J, abs=1e-12)
-        assert oracles.ising_energy(J, 0, e(1).mask, D) == pytest.approx(2 * J, abs=1e-12)
+            assert oracles.ising_energy(J, 0, e(j), D) == pytest.approx(4 * J, abs=1e-12)
+        assert oracles.ising_energy(J, 0, e(1), D) == pytest.approx(2 * J, abs=1e-12)
         # random prefixes and words against the brute oracle
         for i in range(50):
             rng = rng_for(108, 100 * D + i)
             x = int(rng.integers(0, 1 << D))
             w = int(rng.integers(0, 1 << (D - 1)))
-            assert spec.energy_table(FlipWord(w), D)[x] == pytest.approx(
+            assert spec.energy_table(w, D)[x] == pytest.approx(
                 oracles.ising_energy(J, x, w, D), abs=1e-12
             )
 

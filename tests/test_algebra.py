@@ -13,8 +13,6 @@ from flipchain import (
     Bernoulli,
     CylinderFunction,
     DEPTH_CAP,
-    EMPTY_WORD,
-    FlipWord,
     HorizonOverflow,
     IsingBoltzmann,
     canonical_weight,
@@ -33,6 +31,7 @@ from flipchain import (
     rng_for,
     tt_evolve,
     unit,
+    word_from_sites,
 )
 
 SPECS = (Bernoulli(0.3), IsingBoltzmann(1.0))
@@ -49,7 +48,7 @@ def test_constructor_drops_zero_tables():
     )
     assert F.support == [e(1)]
     assert F.depth == 2  # common depth of the inputs, kept after dropping
-    assert max(w.horizon for w in F.support) == 1
+    assert max(w.bit_length() for w in F.support) == 1
 
 
 def test_depth_lifting_and_term_access():
@@ -73,7 +72,7 @@ def test_unit_is_neutral():
                    (object, math.nan)], ids=["float", "complex", "object"])
 def test_max_abs_diff_propagates_nan(dtype, nan):
     def element(first):
-        return AlgebraElement({EMPTY_WORD: CylinderFunction(1, np.array([first, 1], dtype=dtype))})
+        return AlgebraElement({0: CylinderFunction(1, np.array([first, 1], dtype=dtype))})
 
     zero = Fraction(0) if dtype is object else 0.0
     assert math.isnan(max_abs_diff(element(nan), element(zero)))
@@ -86,18 +85,18 @@ def test_convolution_hand_example():
     F = AlgebraElement({e(1): CylinderFunction(1, np.array([2.0, 3.0]))})
     G = AlgebraElement({e(1): CylinderFunction(1, np.array([5.0, 7.0]))})
     P = convolve(F, G)
-    assert P.support == [EMPTY_WORD]
-    assert list(P.terms[EMPTY_WORD].values) == [2.0 * 7.0, 3.0 * 5.0]
+    assert P.support == [0]
+    assert list(P.terms[0].values) == [2.0 * 7.0, 3.0 * 5.0]
 
 
 def test_lift_refuses_depth_beyond_cap(monkeypatch):
     # the cap is enforced where tables grow, before any 2**depth tile is made
-    F = AlgebraElement({EMPTY_WORD: CylinderFunction.constant(1.0, 6)})
+    F = AlgebraElement({0: CylinderFunction.constant(1.0, 6)})
     monkeypatch.setattr(np, "tile", lambda *a: pytest.fail("tiled past the cap"))
     with pytest.raises(HorizonOverflow):
         F.lift(DEPTH_CAP + 1)
     with pytest.raises(HorizonOverflow):
-        F.terms[EMPTY_WORD].lift(DEPTH_CAP + 1)
+        F.terms[0].lift(DEPTH_CAP + 1)
 
 
 def test_linear_structure():
@@ -199,7 +198,7 @@ def test_hahn_norm_dominates_l2_of_action():
 @pytest.mark.parametrize("spec", SPECS, ids=["bernoulli", "ising"])
 def test_flip_unitaries(spec):
     for sites in ([1], [2], [1, 3]):
-        V = pukanszky_V(FlipWord.from_sites(sites), spec)
+        V = pukanszky_V(word_from_sites(sites), spec)
         assert max_abs_diff(convolve(V, V), unit()) < 1e-12
         assert max_abs_diff(involution(V, spec), V) < 1e-12
 
@@ -255,7 +254,7 @@ def fraction_element(rng, depth=3, horizon=3):
     """Two words with exact rational tables (object arrays)."""
     masks = rng.choice(1 << horizon, size=2, replace=False)
     return AlgebraElement({
-        FlipWord(int(m)): CylinderFunction(depth, np.array(
+        int(m): CylinderFunction(depth, np.array(
             [Fraction(int(v), 7) for v in rng.integers(-4, 5, 1 << depth)], dtype=object))
         for m in masks
     })
@@ -294,7 +293,7 @@ def assert_trial_is(batch, t, lone):
     lone = lone.lift(batch.depth)
     got = {w: batch.values[r] for r, (s, w) in
            enumerate(zip(batch.trial.tolist(), batch.word.tolist())) if s == t}
-    want = {w.mask: f.values for w, f in lone.terms.items()}
+    want = {w: f.values for w, f in lone.terms.items()}
     assert got.keys() == want.keys()
     for w, row in want.items():
         assert got[w].dtype == row.dtype
@@ -382,7 +381,7 @@ def test_batched_linear_structure_and_flow_match_lone_elements(case):
 @pytest.mark.parametrize("spec", SPECS + (Bernoulli(Fraction(3, 10)),),
                          ids=["bernoulli", "ising", "exact"])
 def test_batched_flip_unitaries_match_the_oracle(spec):
-    words = [e(1), FlipWord.from_sites([1, 3]), e(1), FlipWord.from_sites([2])]
+    words = [e(1), word_from_sites([1, 3]), e(1), word_from_sites([2])]
     V = pukanszky_V(words, spec)
     assert V.trials == 4
     for t, w in enumerate(words):

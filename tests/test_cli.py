@@ -3,13 +3,13 @@ import json
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
 
 from flipchain import cli, dfs, matrices
 from flipchain.cli import main
-from flipchain.groupoid import FlipWord
 from flipchain.ising import NonCocyclePerturbation, attained_spectrum
 
 
@@ -327,6 +327,9 @@ MALFORMED_TABLES = {
     "site far beyond n": {"n": 1, "entries": [{"flips": [100], "depth": 1, "values": [0, 0]}]},
     "zero denominator": {"n": 0, "entries": [{"flips": [], "depth": 0, "values": ["1/0"]}]},
     "value beyond float": {"n": 0, "entries": [{"flips": [], "depth": 0, "values": [10**400]}]},
+    # the first record breaks antisymmetry; a repeat must not hide it
+    "repeated word": {"n": 1, "entries": [{"flips": [1], "depth": 1, "values": [1, 2]},
+                                          {"flips": [1], "depth": 1, "values": [1, -1]}]},
 }
 
 
@@ -334,10 +337,10 @@ def _refuse_table(*args, **kwargs):
     raise AssertionError("a table was allocated before its document was checked")
 
 
-_FROM_SITES = FlipWord.from_sites
+_FROM_SITES = dfs.word_from_sites
 
 
-def _refuse_far_sites(cls, sites):
+def _refuse_far_sites(sites):
     # a word with such a site would allocate its bit before the horizon check
     if any(isinstance(s, int) and s > 64 for s in sites):
         raise AssertionError(f"a word was built from the sites {sites!r}")
@@ -347,13 +350,21 @@ def _refuse_far_sites(cls, sites):
 @pytest.mark.parametrize("doc", MALFORMED_TABLES.values(), ids=MALFORMED_TABLES)
 def test_dfs_check_malformed_table_exit_2(monkeypatch, tmp_path, capsys, doc):
     monkeypatch.setattr(dfs, "DfsTable", _refuse_table)
-    monkeypatch.setattr(FlipWord, "from_sites", classmethod(_refuse_far_sites))
+    monkeypatch.setattr(dfs, "word_from_sites", _refuse_far_sites)
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     assert main(["dfs-check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_dfs_check_names_the_repeated_record(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(MALFORMED_TABLES["repeated word"]))
+    assert main(["dfs-check", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: table entry 1: repeated word")
 
 
 @pytest.mark.parametrize("raw", [b"{not json", b"", b"\xff\xfe{}"],
@@ -500,6 +511,9 @@ NON_FINITE_INPUTS = {
     "seed 10**20": (["algebra", "--trials", "2", "--seed", str(10**20)], None),
     "seed 2**63, dfs-build": (["dfs-build", "--seed", str(2**63)], None),
     "seed -2**63 - 1, glimm": (["glimm", "--seed", str(-2**63 - 1)], None),
+    # a Glimm image multiplies n roots delta**-+1/2: n/2 |log r| = 2763 at n 8
+    "lambda 1e-300 at n 8, glimm": (
+        ["glimm", "--lambda", "1e-300", "--n", "8", "--depth", "8", "--trials", "50"], None),
     "seed 10**20 in a config file": (["algebra", "--trials", "2"], {"seed": 10**20}),
 }
 
@@ -533,6 +547,16 @@ def test_ising_partition_just_below_the_float64_cut_off(capsys, J):
 ])
 def test_tables_within_float64_are_accepted(argv):
     cli.config_from_args(cli.build_parser().parse_args(argv.split()))
+
+
+@pytest.mark.parametrize("argv", [
+    "glimm --lambda 1e-76 --n 8 --depth 8 --trials 20",  # n/2 |log r| = 700.3
+    "glimm --lambda 1e-300 --n 2 --depth 2",  # |log r| = 690.8 at n 2
+])
+def test_glimm_images_within_float64_run_clean(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv.split()) == 0
 
 
 def test_haar_just_below_the_float64_cut_off(capsys):

@@ -9,8 +9,6 @@ from flipchain import (
     CylinderFunction,
     DepthTooSmall,
     DfsTable,
-    EMPTY_WORD,
-    FlipWord,
     InvariantViolation,
     OrderUnsupported,
     coboundary,
@@ -24,6 +22,7 @@ from flipchain import (
     is_exact,
     random_cylinder,
     rng_for,
+    word_from_sites,
 )
 from flipchain.measures import _worse
 
@@ -42,9 +41,9 @@ def build_random(n, depth, master=31, exact=False):
 
 def test_table_fills_missing_words():
     S = DfsTable(1, {e(1): CylinderFunction(1, np.array([1.0, -1.0]))})
-    assert set(S.entries) == {EMPTY_WORD, e(1)}
-    assert list(S.entries[EMPTY_WORD].values) == [0.0, 0.0]
-    assert S.values[e(1).mask][0b1] == -1.0
+    assert set(S.entries) == {0, e(1)}
+    assert list(S.entries[0].values) == [0.0, 0.0]
+    assert S.values[e(1)][0b1] == -1.0
 
 
 def _holding_all(dtypes):
@@ -64,7 +63,7 @@ def test_table_dtype_holds_every_row(mix):
             return np.array([Fraction(k, 3) for k in range(4)], dtype=object)
         return np.arange(4).astype(dtype)
 
-    entries = {FlipWord(m): CylinderFunction(2, row(t)) for m, t in enumerate(mix)}
+    entries = {m: CylinderFunction(2, row(t)) for m, t in enumerate(mix)}
     want = _holding_all([np.dtype(t) for t in mix] or [np.float64])
     assert DfsTable(2, entries).values.dtype == want
 
@@ -81,10 +80,10 @@ def test_table_guards():
 def test_extension_constant_seeds_oracle():
     # two constant seeds; every table entry is forced by the chain rules
     S = dfs_build(2, [CylinderFunction.constant(1.0), CylinderFunction.constant(2.0)], 2)
-    assert list(S.entries[EMPTY_WORD].values) == [0.0, 0.0, 0.0, 0.0]
+    assert list(S.entries[0].values) == [0.0, 0.0, 0.0, 0.0]
     assert list(S.entries[e(1)].values) == [1.0, -1.0, 1.0, -1.0]
     assert list(S.entries[e(2)].values) == [2.0, 2.0, -2.0, -2.0]
-    assert list(S.entries[FlipWord.from_sites([1, 2])].values) == [3.0, 1.0, -1.0, -3.0]
+    assert list(S.entries[word_from_sites([1, 2])].values) == [3.0, 1.0, -1.0, -3.0]
 
 
 def test_build_checks_pass():
@@ -112,7 +111,7 @@ def _max_abs(x) -> float:
 def pair_loop_max_violation(S):
     """Independent oracle: the three identities one word, then one word pair, at a time."""
     idx = np.arange(1 << S.depth)
-    T = {w.mask: f.values for w, f in S.entries.items()}
+    T = {w: f.values for w, f in S.entries.items()}
     worst = _max_abs(T[0])
     for m in T:
         worst = _worse(worst, _max_abs(T[m][idx ^ m] + T[m]))
@@ -176,7 +175,7 @@ def test_rows_are_read_only_and_shared_with_the_cochain():
 def test_float_seeds_give_a_float_zero_row():
     S = build_random(3, 5, master=51)
     assert S.values.dtype == np.float64
-    assert S.entries[EMPTY_WORD].values.dtype == np.float64
+    assert S.entries[0].values.dtype == np.float64
     assert not S.values[0].any()
 
 

@@ -3,50 +3,40 @@ import pytest
 import test_mutants
 
 from flipchain import (
-    EMPTY_WORD,
-    FlipWord,
     HorizonOverflow,
     axioms_report,
     check_depth,
     e,
-    enumerate_gamma,
+    word_from_sites,
+    word_sites,
 )
 
 
 def test_flipword_site_bit_convention():
     # site k lives in bit k - 1, so site 1 is the least significant bit
-    assert e(1).mask == 1
-    assert e(3).mask == 4
-    assert FlipWord.from_sites([1, 3]).mask == 5
-    assert FlipWord(5).sites == (1, 3)
-    assert FlipWord(5).horizon == 3
-    assert EMPTY_WORD.horizon == 0
-    assert not EMPTY_WORD
-    assert list(FlipWord(6)) == [2, 3]
+    assert e(1) == 1
+    assert e(3) == 4
+    assert word_from_sites([1, 3]) == word_from_sites([3, 1]) == 5
+    assert word_from_sites([]) == 0
+    assert word_sites(5) == [1, 3]
+    assert word_sites(6) == [2, 3]
+    assert word_sites(0) == []
+    for w in range(1 << 6):
+        assert word_from_sites(word_sites(w)) == w
 
 
 def test_flipword_group_law():
-    u = FlipWord.from_sites([1, 2])
-    v = FlipWord.from_sites([2, 4])
-    assert (u ^ u) == EMPTY_WORD
-    assert (u ^ EMPTY_WORD) == u
-    assert (u ^ v) == (v ^ u) == FlipWord.from_sites([1, 4])
+    u = word_from_sites([1, 2])
+    v = word_from_sites([2, 4])
+    assert (u ^ u) == 0
+    assert (u ^ 0) == u
+    assert (u ^ v) == (v ^ u) == word_from_sites([1, 4])
 
 
 def test_flipword_rejects_bad_sites():
-    with pytest.raises(ValueError):
-        FlipWord.from_sites([0])
-    with pytest.raises(ValueError):
-        FlipWord.from_sites([2, 2])
-    with pytest.raises(ValueError):
-        FlipWord(-1)
-
-
-def test_enumeration_order():
-    words = enumerate_gamma(2)
-    assert [w.mask for w in words] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        enumerate_gamma(-1)
+    for sites in ([0], [2, 2], [-1], [1.0], [True], ["1"]):
+        with pytest.raises(ValueError):
+            word_from_sites(sites)
 
 
 def test_depth_cap():
@@ -54,7 +44,7 @@ def test_depth_cap():
     with pytest.raises(HorizonOverflow):
         check_depth(21)
     with pytest.raises(HorizonOverflow):
-        enumerate_gamma(25)
+        axioms_report(25)
 
 
 def test_axioms_exhaustive_small():

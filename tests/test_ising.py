@@ -11,7 +11,6 @@ from flipchain import (
     DegenerateSpectrum,
     DepthTooSmall,
     DfsTable,
-    FlipWord,
     InvalidSpec,
     IsingBoltzmann,
     NonCocyclePerturbation,
@@ -28,6 +27,7 @@ from flipchain import (
     random_algebra_element,
     rng_for,
     tt_evolve,
+    word_from_sites,
 )
 from oracles import bernoulli_delta, ising_dfs_coefficients, ising_energy
 
@@ -35,22 +35,22 @@ from oracles import bernoulli_delta, ising_dfs_coefficients, ising_energy
 def energy(spec, x, w, depth):
     """The transition energy S(x, w) = -log delta(x, w), read from the
     measure's depth-`depth` table."""
-    return spec.energy_table(FlipWord(w), depth)[x]
+    return spec.energy_table(w, depth)[x]
 
 
 def test_transition_energy_values():
     x = 0  # the all-zeros prefix at depth 4
     E = IsingBoltzmann(0.7)
-    assert energy(E, x, e(2).mask, 4) == pytest.approx(4 * 0.7)
-    assert energy(E, x, e(1).mask, 4) == pytest.approx(2 * 0.7)
-    assert energy(IsingBoltzmann(2.0), x, e(3).mask, 4) == 8.0
+    assert energy(E, x, e(2), 4) == pytest.approx(4 * 0.7)
+    assert energy(E, x, e(1), 4) == pytest.approx(2 * 0.7)
+    assert energy(IsingBoltzmann(2.0), x, e(3), 4) == 8.0
     with pytest.raises(InvalidSpec):
         IsingBoltzmann(math.nan)
 
 
 def test_transition_energy_tables():
     E = IsingBoltzmann(1.0)
-    w = FlipWord.from_sites([2])
+    w = word_from_sites([2])
     coeffs = ising_energy_table(w, 4)
     assert coeffs.dtype == np.int64
     assert np.array_equal(E.energy_table(w, 4), coeffs.astype(float))
@@ -70,19 +70,19 @@ def test_energy_brute_force_agreement():
 def test_energy_matches_measure_delta():
     spec = IsingBoltzmann(0.8)
     E = IsingBoltzmann(0.8)
-    w = FlipWord.from_sites([1, 3])
+    w = word_from_sites([1, 3])
     for x in range(16):
         delta = spec.delta_table(w, 4)[x]
-        assert delta == pytest.approx(math.exp(-energy(E, x, w.mask, 4)), rel=1e-14)
+        assert delta == pytest.approx(math.exp(-energy(E, x, w, 4)), rel=1e-14)
 
 
 def test_modular_hamiltonian_lattice():
     ham = Bernoulli(0.3)
     assert ham.step == pytest.approx(math.log(7 / 3), rel=1e-15)
-    x, w = 0b11, FlipWord.from_sites([1, 2])
+    x, w = 0b11, word_from_sites([1, 2])
     assert ham.lattice_table(w, 2)[x] == 2
-    assert energy(ham, x, w.mask, 2) == pytest.approx(-2 * ham.step)
-    table = ham.lattice_table(FlipWord.from_sites([1, 2]), 2)
+    assert energy(ham, x, w, 2) == pytest.approx(-2 * ham.step)
+    table = ham.lattice_table(word_from_sites([1, 2]), 2)
     assert list(table) == [-2, 0, 0, 2]
     with pytest.raises(DepthTooSmall):
         ham.lattice_table(e(3), 2)
@@ -92,7 +92,7 @@ def test_modular_hamiltonian_lattice():
 
 def test_modular_hamiltonian_is_log_delta():
     ham = Bernoulli(0.3)
-    w = FlipWord.from_sites([1, 3]).mask
+    w = word_from_sites([1, 3])
     for x in range(8):
         assert bernoulli_delta(0.3, x, w) == pytest.approx(math.exp(-energy(ham, x, w, 3)),
                                                            rel=1e-13)
@@ -214,7 +214,7 @@ def test_non_cocycle_plumbing():
     broken = NonCocyclePerturbation(base)
     assert broken.base.J == 0.6
     assert broken.min_delta_depth(e(1)) == 2
-    w = FlipWord.from_sites([1, 2])
+    w = word_from_sites([1, 2])
     diff = broken.energy_table(w, 3) - base.energy_table(w, 3)
     psi2 = CylinderFunction.psi(2, 3).values
     assert np.array_equal(diff, 0.5 * psi2)
@@ -234,8 +234,7 @@ CONVENTION_SPECS = {
 def test_energy_is_minus_log_delta(spec):
     # one convention for both measures: delta = e^{-S}
     depth = 5
-    for mask in range(1 << 4):
-        w = FlipWord(mask)
+    for w in range(1 << 4):
         delta = np.asarray(spec.delta_table(w, depth), dtype=np.float64)
         S = spec.energy_table(w, depth)
         assert np.allclose(np.exp(-S), delta, rtol=1e-13, atol=0.0)

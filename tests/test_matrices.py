@@ -1,7 +1,6 @@
 import itertools
 import math
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from flipchain import (
     CylinderFunction,
     InvalidSpec,
     IsingBoltzmann,
-    PauliWord,
     SiteOutOfRange,
     canonical_weight,
     convolve,
@@ -32,30 +30,45 @@ from oracles import ID2, SIGMA1, SIGMA3, gns_deviation, kron_oracle, product_sta
 
 
 def test_pauli_operator_factor_order():
-    # site 1 is the first tensor factor
-    got = pauli_operator(PauliWord(((1, 1),)), 2)
-    assert np.array_equal(got, np.kron(SIGMA1, ID2))
-    got3 = pauli_operator(PauliWord(((2, 3),)), 2)
-    assert np.array_equal(got3, np.kron(ID2, SIGMA3))
-    both = pauli_operator(PauliWord(((1, 1), (2, 3))), 2)
-    assert np.array_equal(both, np.kron(SIGMA1, SIGMA3))
-    assert np.array_equal(pauli_operator(PauliWord(), 1), ID2)
+    # row indices are prefix masks: site 1 is the last tensor factor
+    got = pauli_operator((e(1), 0), 2)
+    assert np.array_equal(got, np.kron(ID2, SIGMA1))
+    got3 = pauli_operator((0, e(2)), 2)
+    assert np.array_equal(got3, np.kron(SIGMA3, ID2))
+    both = pauli_operator((e(1), e(2)), 2)
+    assert np.array_equal(both, np.kron(SIGMA3, SIGMA1))
+    assert np.array_equal(pauli_operator((0, 0), 1), ID2)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_pauli_operator_equals_kron_oracle(n):
     # equal values (kron gives -0.0 where the permutation gives +0.0) and dtype
     for choice in itertools.product((0, 1, 3), repeat=n):
-        w = PauliWord(tuple((k, c) for k, c in enumerate(choice, 1) if c))
-        got, want = pauli_operator(w, n), kron_oracle(w, n)
-        assert got.dtype == want.dtype and np.array_equal(got, want), w
+        x = sum(1 << k for k, c in enumerate(choice) if c == 1)
+        z = sum(1 << k for k, c in enumerate(choice) if c == 3)
+        got, want = pauli_operator((x, z), n), kron_oracle((x, z), n)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (x, z)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_site_to_bit_rule(n):
+    """The matrix side indexes rows by prefix mask, as the tables do: sigma3
+    at site k has the diagonal psi_k, and a flip word w permutes r to r ^ w."""
+    rows = np.arange(1 << n)
+    for k in range(1, n + 1):
+        diagonal = np.diagonal(pauli_operator((0, e(k)), n))
+        assert np.array_equal(diagonal, CylinderFunction.psi(k, n).values)
+    for w in range(1 << n):
+        ones = np.zeros((1 << n, 1 << n))
+        ones[rows, rows ^ w] = 1.0
+        assert np.array_equal(pauli_operator((w, 0), n), ones), w
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_powers_state_bits_equal_kron_diagonal(n):
     rng = np.random.default_rng(n)
     for lam in (0.1, 0.3, 0.5):
-        weights = reduce(np.kron, [np.array([lam, 1.0 - lam])] * n, np.array([1.0]))
+        weights = product_state_diagonal(lam, n)
         for _ in range(2):  # the first call builds the diagonal, the second reads it
             diag = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
             want = complex(math.fsum(weights * diag.real), math.fsum(weights * diag.imag))
@@ -72,7 +85,7 @@ def test_powers_state_weights_equal_kron_diagonal(n):
 
 
 def test_glimm_map_memo_keeps_exact_and_float_apart():
-    w = PauliWord(((1, 1), (2, 3)))
+    w = (e(1), e(2))
     exact = Bernoulli(Fraction(1, 2))
     uncached = convolve(pukanszky_V(e(1), exact),
                         pukanszky_L(CylinderFunction.psi(2, 2, exact=True)))
@@ -90,27 +103,25 @@ def test_glimm_map_memo_keeps_exact_and_float_apart():
 
 
 def test_pauli_word_guards():
+    # a site carrying both sigma1 and sigma3
     with pytest.raises(InvalidSpec):
-        PauliWord(((1, 1), (1, 3)))
-    with pytest.raises(InvalidSpec):
-        PauliWord(((1, 2),))
+        pauli_operator((e(1), e(1) | e(2)), 2)
+    # a site past n, in either mask
     with pytest.raises(SiteOutOfRange):
-        PauliWord(((0, 1),))
+        pauli_operator((e(3), 0), 2)
     with pytest.raises(SiteOutOfRange):
-        pauli_operator(PauliWord(((3, 1),)), 2)
-    # storage is canonical regardless of input order
-    assert PauliWord(((2, 3), (1, 1))).letters == ((1, 1), (2, 3))
+        pauli_operator((0, e(3)), 2)
 
 
 def test_powers_state_products():
     lam = 0.3
     # fsum of the kron weights; not exactly 1 in binary floats
     assert powers_state(np.eye(8), lam) == pytest.approx(1.0, abs=1e-14)
-    z1 = pauli_operator(PauliWord(((1, 3),)), 3)
+    z1 = pauli_operator((0, e(1)), 3)
     assert powers_state(z1, lam) == pytest.approx(2 * lam - 1, abs=1e-15)
-    x1 = pauli_operator(PauliWord(((1, 1),)), 3)
+    x1 = pauli_operator((e(1), 0), 3)
     assert powers_state(x1, lam) == 0.0
-    zz = pauli_operator(PauliWord(((1, 3), (2, 3))), 2)
+    zz = pauli_operator((0, e(1) | e(2)), 2)
     assert powers_state(zz, lam) == pytest.approx((2 * lam - 1) ** 2, abs=1e-15)
     with pytest.raises(InvalidSpec):
         powers_state(z1, 0.7)
@@ -120,25 +131,23 @@ def test_powers_state_products():
 
 def test_glimm_map_generators():
     spec = Bernoulli(0.3)
-    V = glimm_map(PauliWord(((2, 1),)), spec)
+    V = glimm_map((e(2), 0), spec)
     assert max_abs_diff(V, pukanszky_V(e(2), spec)) == 0.0
-    L = glimm_map(PauliWord(((2, 3),)), spec)
+    L = glimm_map((0, e(2)), spec)
     assert max_abs_diff(L, pukanszky_L(CylinderFunction.psi(2, 2))) == 0.0
-    assert max_abs_diff(glimm_map(PauliWord(), spec), unit()) == 0.0
+    assert max_abs_diff(glimm_map((0, 0), spec), unit()) == 0.0
     with pytest.raises(InvalidSpec):
-        glimm_map(PauliWord(((1, 1),)), IsingBoltzmann(1.0))
+        glimm_map((e(1), 0), IsingBoltzmann(1.0))
 
 
 def test_glimm_map_multiplicative_across_sites():
     spec = Bernoulli(0.3)
-    w = PauliWord(((1, 1), (3, 3)))
-    product = convolve(
-        glimm_map(PauliWord(((1, 1),)), spec), glimm_map(PauliWord(((3, 3),)), spec)
-    )
+    w = (e(1), e(3))
+    product = convolve(glimm_map((e(1), 0), spec), glimm_map((0, e(3)), spec))
     assert max_abs_diff(glimm_map(w, spec), product) < 1e-15
 
 
-def gns_expectation(w: PauliWord, spec) -> complex:
+def gns_expectation(w: tuple, spec) -> complex:
     """The cyclic-vector state of the word's image: its canonical weight."""
     return complex(canonical_weight(glimm_map(w, spec), spec))
 
@@ -146,13 +155,10 @@ def gns_expectation(w: PauliWord, spec) -> complex:
 def test_gns_expectation_oracle_values():
     lam = 0.3
     spec = Bernoulli(lam)
-    assert gns_expectation(PauliWord(), spec) == 1.0
-    assert gns_expectation(PauliWord(((1, 3),)), spec) == pytest.approx(
-        2 * lam - 1, abs=1e-15
-    )
-    assert gns_expectation(PauliWord(((1, 1),)), spec) == 0.0
-    assert gns_expectation(PauliWord(((1, 1), (2, 3))), spec) == pytest.approx(
-        0.0, abs=1e-15)
+    assert gns_expectation((0, 0), spec) == 1.0
+    assert gns_expectation((0, e(1)), spec) == pytest.approx(2 * lam - 1, abs=1e-15)
+    assert gns_expectation((e(1), 0), spec) == 0.0
+    assert gns_expectation((e(1), e(2)), spec) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_gns_matches_powers_state_on_words():
@@ -201,4 +207,5 @@ def test_random_pauli_word_reproducible():
     a = random_pauli_word(rng_for(3, 7), 5)
     b = random_pauli_word(rng_for(3, 7), 5)
     assert a == b
-    assert all(1 <= s <= 5 for s in a.sites)
+    x, z = a
+    assert (x | z) >> 5 == 0 and x & z == 0

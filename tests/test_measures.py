@@ -9,11 +9,9 @@ import pytest
 
 from flipchain import (
     DEPTH_CAP,
-    EMPTY_WORD,
     Bernoulli,
     CylinderFunction,
     DepthTooSmall,
-    FlipWord,
     HorizonOverflow,
     InvalidSpec,
     IsingBoltzmann,
@@ -27,6 +25,7 @@ from flipchain import (
     partition_report,
     pushforward_projection_check,
     translation_covariance_check,
+    word_from_sites,
 )
 from flipchain import cli, measures
 from oracles import (
@@ -104,18 +103,18 @@ def test_bernoulli_guards():
 def test_bernoulli_delta_single_flip():
     spec = Bernoulli(LAM)
     # flipping site 1 when the target reads 1 weighs (1-lam)/lam
-    assert bernoulli_delta(LAM, 1, e(1).mask) == spec.delta_table(e(1), 1)[1] == Fraction(7, 3)
+    assert bernoulli_delta(LAM, 1, e(1)) == spec.delta_table(e(1), 1)[1] == Fraction(7, 3)
     assert spec.delta_table(e(1), 1)[0] == Fraction(3, 7)
     assert Bernoulli(0.3).delta_table(e(1), 1)[1] == pytest.approx(7 / 3, rel=1e-15)
 
 
 def test_bernoulli_delta_tables_match_pointwise():
     spec = Bernoulli(LAM)
-    w = FlipWord.from_sites([1, 3])
+    w = word_from_sites([1, 3])
     table = spec.delta_table(w, 3)
     inv = spec.delta_inv_table(w, 3)
     for bits in range(8):
-        assert table[bits] == bernoulli_delta(LAM, bits, w.mask)
+        assert table[bits] == bernoulli_delta(LAM, bits, w)
         assert table[bits] * inv[bits] == 1
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)
@@ -160,9 +159,9 @@ def test_lattice_table_equals_the_site_loop():
     spec = Bernoulli(0.3)
     for depth in range(13):
         for mask in range(1 << depth):
-            table = spec.lattice_table(FlipWord(mask), depth)
+            table = spec.lattice_table(mask, depth)
             assert table.dtype == np.int64
-            assert np.array_equal(table, lattice_table(FlipWord(mask), depth))
+            assert np.array_equal(table, lattice_table(mask, depth))
 
 
 def test_ising_energy_coefficient_values():
@@ -172,25 +171,25 @@ def test_ising_energy_coefficient_values():
     assert ising_energy_table(e(3), 4)[x] == 4
     # the first site has a single bond
     assert ising_energy_table(e(1), 4)[x] == 2
-    assert ising_energy_table(FlipWord(0), 4)[x] == 0
+    assert ising_energy_table(0, 4)[x] == 0
     with pytest.raises(DepthTooSmall):
         ising_energy_table(e(2), 2)
 
 
 def test_ising_delta_consistent():
     spec = IsingBoltzmann(0.7)
-    w = FlipWord.from_sites([2])
+    w = word_from_sites([2])
     table = spec.delta_table(w, 4)
     for bits in range(16):
         assert table[bits] == pytest.approx(
-            math.exp(-ising_energy(0.7, bits, w.mask, 4)), rel=1e-15)
+            math.exp(-ising_energy(0.7, bits, w, 4)), rel=1e-15)
     with pytest.raises(DepthTooSmall):
         spec.delta_table(w, 2)  # needs horizon + 1
 
 
 def test_ising_delta_truncation_independent():
     spec = IsingBoltzmann(1.3)
-    w = FlipWord.from_sites([1, 2])
+    w = word_from_sites([1, 2])
     fine = spec.delta_table(w, 5)
     coarse = spec.delta_table(w, 3)
     assert np.array_equal(fine, np.tile(coarse, 4))
@@ -235,7 +234,7 @@ def test_pushforward_projection():
 
 
 def test_translation_covariance():
-    rep = translation_covariance_check(Bernoulli(LAM), FlipWord.from_sites([1, 3]), 4)
+    rep = translation_covariance_check(Bernoulli(LAM), word_from_sites([1, 3]), 4)
     assert rep["exact_zero"] is True
     rep_i = translation_covariance_check(IsingBoltzmann(0.5), e(2), 5)
     assert rep_i["max_rel_deviation"] < 1e-14
@@ -284,11 +283,11 @@ def cold_tables():
     "spec", [Bernoulli(0.3), Bernoulli(LAM), IsingBoltzmann(0.7)], ids=repr
 )
 def test_tables_are_read_only(spec):
-    w = FlipWord.from_sites([1, 3])
+    w = word_from_sites([1, 3])
     tables = [
         spec.weight_table(0),
         spec.weight_table(4),
-        spec.delta_table(EMPTY_WORD, 4),
+        spec.delta_table(0, 4),
         spec.delta_table(w, 4),
         spec.delta_inv_table(w, 4),
         ising_bond_coefficients(4),
@@ -311,11 +310,11 @@ def test_cache_keeps_exact_and_float_apart(cold_tables, first_exact):
     specs = [Bernoulli(0.5), Bernoulli(Fraction(1, 2))]
     if first_exact:
         specs.reverse()
-    w = FlipWord.from_sites([2])
+    w = word_from_sites([2])
     for spec in specs:
         tables = [
             spec.weight_table(4),
-            spec.delta_table(EMPTY_WORD, 4),
+            spec.delta_table(0, 4),
             spec.delta_table(w, 4),
             spec.delta_inv_table(w, 4),
         ]
@@ -338,12 +337,11 @@ def test_bernoulli_tables_match_pointwise_oracles(lam):
             assert weights[bits] == want
         else:
             assert weights[bits] == pytest.approx(want, rel=1e-14)
-    for mask in range(1 << 3):
-        w = FlipWord(mask)
+    for w in range(1 << 3):
         delta = spec.delta_table(w, depth)
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
-            want = bernoulli_delta(lam, bits, mask)
+            want = bernoulli_delta(lam, bits, w)
             if spec.exact:
                 assert delta[bits] == want
                 assert inv[bits] * want == 1
@@ -364,13 +362,12 @@ def test_ising_tables_match_pointwise_oracles():
         bond_sum = sum(a * b for a, b in zip(spins, spins[1:]))
         assert bonds[bits] == bond_sum
         assert weights[bits] == pytest.approx(math.exp(-J * bond_sum) / Z, rel=1e-13)
-    for mask in range(1 << 3):
-        w = FlipWord(mask)
+    for w in range(1 << 3):
         delta = spec.delta_table(w, depth)
         inv = spec.delta_inv_table(w, depth)
         for bits in range(1 << depth):
             assert delta[bits] == pytest.approx(
-                math.exp(-ising_energy(J, bits, mask, depth)), rel=1e-14
+                math.exp(-ising_energy(J, bits, w, depth)), rel=1e-14
             )
             assert inv[bits] * delta[bits] == pytest.approx(1.0, rel=1e-14)
 
@@ -467,8 +464,7 @@ def test_delta_inv_table_bits_equal_direct_build(spec):
             return ising_delta_inv_table(spec.J, w, d)
     with np.errstate(over="ignore"):
         for depth in range(11):
-            for mask in range(1 << min(depth, 5)):
-                w = FlipWord(mask)
+            for w in range(1 << min(depth, 5)):
                 if depth >= spec.min_delta_depth(w):
                     assert _same_bits(spec.delta_inv_table(w, depth), oracle(w, depth)), (w, depth)
 
@@ -497,13 +493,12 @@ def test_exact_integer_form_matches_fraction_oracles(lam):
             masks = range(size)
         else:  # the words of horizon <= 3 and the all-sites word
             masks = [*range(8), size - 1] if depth == 10 else []
-        for mask in masks:
-            w = FlipWord(mask)
+        for w in masks:
             nums, den = measures._numerators(spec, depth, w)
-            want = [bernoulli_delta(lam, x, mask) for x in range(size)]
+            want = [bernoulli_delta(lam, x, w) for x in range(size)]
             _assert_exact_table(spec.delta_table(w, depth), nums, den, want)
             # the checks read delta**-1 as the numerators across the flip
-            _assert_exact_table(spec.delta_inv_table(w, depth), nums[np.arange(size) ^ mask],
+            _assert_exact_table(spec.delta_inv_table(w, depth), nums[np.arange(size) ^ w],
                                 den, bernoulli_delta_inv_table(lam, w, depth).tolist())
 
 
@@ -519,7 +514,7 @@ def _perturb_ints(monkeypatch, hit):
 
 
 def test_perturbed_delta_numerator_fails_covariance(monkeypatch, cold_tables):
-    target = FlipWord.from_sites([1, 3])
+    target = word_from_sites([1, 3])
     _perturb_ints(monkeypatch, lambda depth, word: word == target)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -531,7 +526,7 @@ def test_perturbed_delta_numerator_fails_covariance(monkeypatch, cold_tables):
     spec = Bernoulli(LAM)
     weights = spec.weight_table(5).tolist()
     inverse = spec.delta_inv_table(target, 5).tolist()
-    want = max(abs(weights[x ^ target.mask] - inverse[x] * weights[x]) / (inverse[x] * weights[x])
+    want = max(abs(weights[x ^ target] - inverse[x] * weights[x]) / (inverse[x] * weights[x])
                for x in range(32))
     assert want > 0
     assert doc["report"]["max_rel_deviation"] == float(want)

@@ -65,7 +65,7 @@ def _weight_of_every_word(F, spec):
 
 def _lattice_index_without_sign(self, word, depth):
     """lattice_table as popcount(x & w), the flipped sites at 1 without those at 0."""
-    return measures._bit_count(measures._index(depth) & word.mask)
+    return measures._bit_count(measures._index(depth) & word)
 
 
 def _flip_without_root(w, spec):

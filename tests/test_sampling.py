@@ -35,7 +35,7 @@ def test_rng_streams_reproduce():
 def test_random_word_horizon():
     for i in range(50):
         w = random_word(rng_for(6, i), 3)
-        assert w.horizon <= 3
+        assert w.bit_length() <= 3
 
 
 def test_random_element_shapes():
@@ -49,7 +49,7 @@ def test_random_algebra_element_controls():
     F = random_algebra_element(rng_for(8, 0), 5, words=3, horizon=2)
     assert F.depth == 5
     assert len(F.support) == 3
-    assert all(w.horizon <= 2 for w in F.support)
+    assert all(w.bit_length() <= 2 for w in F.support)
     # horizon smaller than the word count caps the support size
     G = random_algebra_element(rng_for(8, 1), 4, words=9, horizon=1)
     assert len(G.support) <= 2
