@@ -73,10 +73,16 @@ def attained_spectrum(lam, horizon: int) -> dict:
     points by which the two differ.
     """
     spec = Bernoulli(lam)
-    attained = set()
+    # one table at a time, marked by index into the window [-horizon, horizon];
+    # the indices outside it, which only a wrong table reaches, go to a set
+    window = np.zeros(2 * horizon + 1, dtype=bool)
+    outside = set()
     for mask in range(1 << horizon):
-        # one table at a time: np.unique over all of them at once costs memory
-        attained.update(np.unique(spec.lattice_table(mask, horizon)).tolist())
+        k = spec.lattice_table(mask, horizon)
+        inside = np.abs(k) <= horizon
+        window[k[inside] + horizon] = True
+        outside.update(k[~inside].tolist())
+    attained = outside.union((np.flatnonzero(window) - horizon).tolist())
     mismatched = len(attained ^ set(range(-horizon, horizon + 1)))
     return {
         "lambda": float(lam),

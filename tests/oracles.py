@@ -9,9 +9,10 @@ spin, a Pauli word as the Kronecker product of its one-site matrices (site
 inverse modular tables built directly (the package reads them across the
 flip), the Bernoulli lattice index and the Ising bond sums summed site by
 site (the package counts bits) and the product-state diagonal as a Kronecker
-product.  The convolution algebra's kernels get their one-trial,
-word-by-word definitions below, and random elements their word-by-word
-draw.  `glimm`'s randomized cross-check gets its one-trial form, which runs
+product.  The indices that the package's own lattice tables attain get a set
+union of per-word sorts (the package marks a window).  The convolution
+algebra's kernels get their one-trial, word-by-word definitions below, and
+random elements their word-by-word draw.  `glimm`'s randomized cross-check gets its one-trial form, which runs
 those word-by-word kernels on the package's Glimm images.  The groupoid
 axioms get a scalar sweep over int pairs that writes the groupoid law out
 itself (the package broadcasts its own mask law over arrays).
@@ -118,6 +119,19 @@ def lattice_table(word, depth: int) -> np.ndarray:
     for j in _sites(word):
         k += 2 * ((idx >> (j - 1)) & 1) - 1
     return k
+
+
+def attained_spectrum(lam, horizon: int) -> dict:
+    """The lattice indices that `Bernoulli(lam).lattice_table` reaches at a
+    horizon, one sorted set of distinct values per word, compared with the
+    window [-horizon, horizon] as sets."""
+    spec = Bernoulli(lam)
+    attained = set()
+    for mask in range(1 << horizon):
+        attained.update(np.unique(spec.lattice_table(mask, horizon)).tolist())
+    mismatched = len(attained ^ set(range(-horizon, horizon + 1)))
+    return {"attained_k": sorted(attained), "matches_window": mismatched == 0,
+            "mismatched": mismatched}
 
 
 def bond_sums(depth: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from flipchain import (
     tt_evolve,
     word_from_sites,
 )
+import oracles
 from oracles import bernoulli_delta, ising_dfs_coefficients, ising_energy
 
 
@@ -144,6 +145,29 @@ def test_attained_spectrum_counts_the_points_off_the_window(monkeypatch):
         rep = attained_spectrum(0.3, 3)
         assert rep["attained_k"] == [k]
         assert rep["mismatched"] == mismatched and rep["matches_window"] is False
+
+
+def _window_report(rep: dict) -> dict:
+    return {key: rep[key] for key in ("attained_k", "matches_window", "mismatched")}
+
+
+@pytest.mark.parametrize("lam", [0.3, Fraction(1, 10)])
+def test_attained_spectrum_matches_its_oracle(lam):
+    for horizon in range(10):
+        assert _window_report(attained_spectrum(lam, horizon)) == \
+            oracles.attained_spectrum(lam, horizon)
+
+
+def test_attained_spectrum_matches_its_oracle_on_wrong_tables(monkeypatch):
+    # constant tables inside and outside the window, and a table that spreads
+    # its words over indices on both sides of it
+    tables = [lambda self, word, depth, k=k: np.full(1 << depth, k) for k in (0, 1, 4, -5)]
+    tables.append(lambda self, word, depth: np.arange(1 << depth) - word)
+    for table in tables:
+        monkeypatch.setattr(Bernoulli, "lattice_table", table)
+        for horizon in (0, 1, 3, 5):
+            assert _window_report(attained_spectrum(0.3, horizon)) == \
+                oracles.attained_spectrum(0.3, horizon)
 
 
 def test_tt_evolve_basics():

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from flipchain import (
     CylinderFunction,
@@ -11,8 +14,10 @@ from flipchain import (
     dfs_to_json,
     rng_for,
 )
-from flipchain.cli import render_csv, render_json
+from flipchain import cli
+from flipchain.cli import _json_default, render_csv, render_json
 from oracles import ising_dfs_coefficients
+from test_report_digests import DIGESTS
 
 
 def roundtrip(doc):
@@ -69,9 +74,71 @@ def test_render_json_canonical():
     assert list(parsed) == ["a", "b"]
 
 
+def dumps(doc) -> str:
+    """The oracle: the text that render_json must write, byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+@pytest.mark.parametrize("argv", DIGESTS)
+def test_render_json_is_json_dumps_on_every_pinned_report(monkeypatch, argv):
+    payloads = []
+
+    def keep(payload):
+        payloads.append(payload)
+        return ""
+
+    monkeypatch.setattr(cli, "render_json", keep)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv.split())
+    assert len(payloads) == 1
+    assert render_json(payloads[0]) == dumps(payloads[0])
+
+
+NAN, INF = float("nan"), float("inf")
+FLOATS = [NAN, INF, -INF, -0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, -2.5e300]
+
+HAND_BUILT = [
+    *FLOATS,
+    FLOATS,
+    [[1.0, 2.0], [], [[3.0, NAN]], (4.0, -INF)],
+    [Fraction(1, 3), Fraction(-2), np.int64(-7), np.uint8(3), np.float64(2.5),
+     np.float32(0.1), np.bool_(True), np.bool_(False)],
+    [0.5, np.float64(0.25), 1.0],
+    [np.float64(0.1), np.float64(NAN)],
+    [1.0, 2, 3.5],
+    [1.0, True, 0.0, False, None],
+    [True, 1, 10**30, -5, None, "1.0"],
+    [], {}, (), (1.0, 2.0), (1, "a", ()),
+    {"a": [], "b": {}, "c": (), "d": {"e": [[]]}},
+    "a, b", ["x, y", "a, b, c"], "ünïcödé ✓ \u2028 \"quoted\"\n", ["é", "\x00\t"],
+    {3: "three", -1: "minus one", 10: "ten"},
+    {0.5: 1, INF: 2, -0.0: 3, NAN: 4, 1e16: 5},
+    {True: [1.0], False: [2.0]},
+    {None: {"nested": {2: None}}},
+    {"z": {1: 2.0}, "a": [{"k": np.float64(1.5)}], "m": Fraction(7, 2)},
+]
+
+
+@pytest.mark.parametrize("doc", HAND_BUILT, ids=range(len(HAND_BUILT)))
+def test_render_json_is_json_dumps_on_hand_built_documents(doc):
+    assert render_json(doc) == dumps(doc)
+    assert render_json({"wrapped": doc}) == dumps({"wrapped": doc})
+
+
+@pytest.mark.parametrize("doc", [
+    object(), np.array([1.0]), [1.0, object()], {"a": {1j}}, {(1, 2): 3}, {np.int64(1): 2},
+    {1: 2, "a": 3},
+], ids=range(7))
+def test_render_json_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        dumps(doc)
+    with pytest.raises(TypeError) as got:
+        render_json(doc)
+    assert str(got.value) == str(want.value)
+
+
 def test_render_csv_projection():
     import csv
-    import io
 
     doc = {"b": {"y": [1, 2]}, "a": 1, "s": "hi"}
     rows = list(csv.reader(io.StringIO(render_csv(doc))))
